@@ -21,10 +21,11 @@ a smaller program — and written to the corpus directory as a
 self-contained JSON repro file.
 
 :func:`self_check` closes the loop on the harness itself: it plants a
-semantic bug into the pre-decoded engine (monkeypatching one entry of
-``repro.sim.decode._LOGIC``) and asserts the campaign both *finds*
-and *shrinks* it, then plants a one-bit miscompile into the trace
-stitcher (``repro.sim.trace.PLANT_RESULT_XOR``) and asserts the
+semantic bug into the fast engines' op table (``xor`` in
+:mod:`repro.sim.ops`, which the interpretive reference never reads)
+and asserts the campaign both *finds* and *shrinks* it, then plants
+a one-bit miscompile into the trace stitcher
+(``repro.sim.trace.PLANT_RESULT_XOR``) and asserts the
 ``traced`` axis catches that too, then corrupts one lane of the
 batched lockstep driver (``repro.sim.batch.PLANT_LANE_XOR``) and
 asserts the ``batched`` axis reports it.  A difftest harness that
@@ -266,10 +267,10 @@ def self_check(
 ) -> DifftestReport:
     """Prove the harness detects and shrinks planted engine bugs.
 
-    Two plants, two phases.  Phase one plants ``xor ->
-    xor-then-flip-bit-0`` into the pre-decoded engine's operator
-    table (the interpretive engine is untouched) and runs an
-    engine-axis campaign.  Every generated program ends in an xor
+    Three plants, three phases.  Phase one plants ``xor ->
+    xor-then-flip-bit-0`` into the fast engines' op table
+    (:func:`repro.sim.ops.planted`; the interpretive engine is
+    untouched) and runs an engine-axis campaign.  Every generated program ends in an xor
     fold, so the bug is reachable from every case; the campaign must
     come back with at least one divergence, and the *first* one is
     then shrunk (reducing every planted hit would prove nothing more
@@ -289,17 +290,15 @@ def self_check(
     -m repro difftest --self-check``.
     """
     import repro.sim.batch as batch_mod
-    import repro.sim.decode as decode
     import repro.sim.trace as trace
+    from repro.sim.ops import planted
 
     # Small fixed-size programs: the plant is reachable from any case
     # (every program ends in an xor fold), and shrinking a full-size
     # generated program costs minutes of oracle re-runs for no extra
     # evidence.
     size = 10 if size is None else size
-    pristine = decode._LOGIC["xor"]
-    decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
-    try:
+    with planted("xor", "(a & M) ^ (b & M) ^ 1"):
         report = run_difftest(
             seed=seed, budget=budget, axes=("engine",),
             reduce=False, size=size, tracer=tracer,
@@ -321,8 +320,6 @@ def self_check(
                 "self-check: reduced program does not reproduce the "
                 "planted divergence"
             )
-    finally:
-        decode._LOGIC["xor"] = pristine
     if run_axis("engine", first.case.with_source(reduced)) is not None:
         raise AssertionError(
             "self-check: reduced program still diverges on the pristine "

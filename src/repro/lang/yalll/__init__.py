@@ -2,11 +2,10 @@
 
 from repro.lang.yalll.ast import YalllProgram
 from repro.lang.yalll.codegen import YalllCodegen, generate
-from repro.lang.yalll.compiler import CompileResult, compile_yalll
+from repro.lang.yalll.compiler import compile_yalll
 from repro.lang.yalll.parser import parse_yalll
 
 __all__ = [
-    "CompileResult",
     "YalllCodegen",
     "YalllProgram",
     "compile_yalll",

@@ -4,12 +4,16 @@ The scalar engines pay one Python dispatch per microinstruction *per
 case*; a million-case campaign is a million interpreter loops.  This
 module holds N independent cases as **struct-of-arrays** — every
 register and flag becomes a lane vector — and drives them in lockstep
-through batched execution plans: one step closure per placed op per
-microinstruction, each operating on whole lane vectors (numpy when
-available, a pure-Python list vector otherwise), so the Python-level
-dispatch cost is amortised across the batch.  This is the structural
-move that makes VADL-style generated simulators fast, applied to the
-pre-decoded engine of :mod:`repro.sim.decode`.
+through the decoded engine's execution plans: one step closure per
+placed op per microinstruction, each operating on whole lane vectors
+(numpy when available, a pure-Python list vector otherwise), so the
+Python-level dispatch cost is amortised across the batch.  This is
+the structural move that makes VADL-style generated simulators fast,
+applied to the pre-decoded engine of :mod:`repro.sim.decode`: the
+plans are built by the same lowering, from the same op table
+(:mod:`repro.sim.ops`), through a lane-vector decode backend
+(:class:`_LaneSteps`).  What stays here is the lockstep part — the
+vector state, ``settle`` and the peel rules.
 
 **Lockstep invariant.**  While lanes are live they share one
 microprogram counter, one cycle count and one micro return stack —
@@ -47,24 +51,15 @@ batch-state corruption the difftest ``batched`` axis must catch.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.asm.loader import ControlStore
 from repro.errors import MicroTrap, SimulationError
-from repro.mir.block import (
-    Branch,
-    Call,
-    Exit,
-    Fallthrough,
-    Jump,
-    Multiway,
-    Ret,
-)
 from repro.mir.operands import Reg
-from repro.sim.decode import _COND_TESTS
+from repro.sim.decode import ExecutionPlan, _dest_slot, build_plan
 from repro.sim.memory import MainMemory, Scratchpad
-from repro.sim.semantics import evaluate
+from repro.sim.semantics import OpResult, evaluate
 from repro.sim.simulator import RunResult, Simulator
 from repro.sim.state import MachineState
 
@@ -91,10 +86,10 @@ DEFAULT_LANES = 64
 class _PyVec(list):
     """A list with elementwise operators: the pure-Python lane vector.
 
-    Implements exactly the operator surface the batched step closures
-    use (`+ - & | ^ >> * == >`), each returning a fresh ``_PyVec`` of
-    ints (comparisons yield 0/1), so the same step code drives numpy
-    arrays and Python lists unchanged.
+    Implements exactly the operator surface the op table and the
+    batched sequencers use (`+ - & | ^ >> * == >`), each returning a
+    fresh ``_PyVec`` of ints (comparisons yield 0/1), so the same step
+    code drives numpy arrays and Python lists unchanged.
     """
 
     def _zip(self, other, fn):
@@ -270,12 +265,13 @@ class _DenseMemory:
     fancy-indexing operations across the batch.
     """
 
-    __slots__ = ("words", "rows", "size")
+    __slots__ = ("state", "words", "rows", "size")
 
-    def __init__(self, lanes: int, size: int = 65536):
+    def __init__(self, state: BatchedState, size: int = 65536):
+        self.state = state
         self.size = size
-        self.words = _np.zeros((lanes, size), dtype=_np.int64)
-        self.rows = _np.arange(lanes)
+        self.words = _np.zeros((state.n, size), dtype=_np.int64)
+        self.rows = _np.arange(state.n)
 
     def load(self, lane: int, base: int, values) -> None:
         for offset, value in enumerate(values):
@@ -283,21 +279,21 @@ class _DenseMemory:
                 raise SimulationError("load_words out of range")
             self.words[lane, base + offset] = value
 
-    def _clamp(self, state: BatchedState, addrs):
+    def _clamp(self, addrs):
         bad = (addrs < 0) | (addrs >= self.size)
         if bad.any():
-            for lane in state.live_lanes():
+            for lane in self.state.live_lanes():
                 if bad[lane]:
-                    state.peel(lane, "memory-range")
+                    self.state.peel(lane, "memory-range")
             addrs = _np.where(bad, 0, addrs)
         return addrs
 
-    def read_vec(self, state: BatchedState, addrs):
-        return self.words[self.rows, self._clamp(state, addrs)]
+    def read(self, addrs):
+        return self.words[self.rows, self._clamp(addrs)]
 
-    def write_vec(self, state: BatchedState, addrs, values) -> None:
-        addrs = self._clamp(state, addrs)
-        live = state.live_vec
+    def write(self, addrs, values) -> None:
+        addrs = self._clamp(addrs)
+        live = self.state.live_vec
         rows = self.rows
         # Peeled lanes must not commit: route their store to their own
         # address but with the value already there (a no-op write).
@@ -309,53 +305,54 @@ class _DenseMemory:
 
 
 class _LaneMemories:
-    """Per-lane :class:`MainMemory` objects (paging or pure-Python).
+    """Per-lane stores (:class:`MainMemory` or :class:`Scratchpad`).
 
     Reads and writes loop over live lanes; a :class:`MicroTrap` or
     address error in one lane peels that lane and leaves the rest in
     lockstep.
     """
 
-    __slots__ = ("memories",)
+    __slots__ = ("state", "memories", "reason")
 
-    def __init__(self, lanes: int, *, paging: bool):
-        self.memories = [
-            MainMemory(paging_enabled=paging) for _ in range(lanes)
-        ]
+    def __init__(self, state: BatchedState, memories, reason: str):
+        self.state = state
+        self.memories = memories
+        self.reason = reason
 
     def load(self, lane: int, base: int, values) -> None:
         self.memories[lane].load_words(base, list(values))
 
-    def read_vec(self, state: BatchedState, addrs):
+    def read(self, addrs):
+        state = self.state
         values = [0] * state.n
         for lane in state.live_lanes():
             try:
                 values[lane] = self.memories[lane].read(int(addrs[lane]))
             except (MicroTrap, SimulationError):
-                state.peel(lane, "trap")
+                state.peel(lane, self.reason)
         return state.ops.vector(values)
 
-    def write_vec(self, state: BatchedState, addrs, values) -> None:
-        for lane in state.live_lanes():
+    def write(self, addrs, values) -> None:
+        for lane in self.state.live_lanes():
             try:
                 self.memories[lane].write(
                     int(addrs[lane]), int(values[lane])
                 )
             except (MicroTrap, SimulationError):
-                state.peel(lane, "trap")
+                self.state.peel(lane, self.reason)
 
-    def touch(self, state: BatchedState, addrs, values) -> None:
+    def touch(self, addrs, values) -> None:
         """The decoded engine's write-allocate check, per lane."""
-        for lane in state.live_lanes():
+        for lane in self.state.live_lanes():
             address = int(addrs[lane])
             memory = self.memories[lane]
             if not memory.is_mapped(address):
                 try:
                     memory.write(address, int(values[lane]))
                 except (MicroTrap, SimulationError):
-                    state.peel(lane, "trap")
+                    self.state.peel(lane, self.reason)
 
-    def lane_view(self, lane: int) -> MainMemory:
+    def lane_view(self, lane: int):
         return self.memories[lane]
 
 
@@ -373,10 +370,12 @@ class _PeelAll(Exception):
 class BatchedState:
     """N cases as struct-of-arrays, advanced in lockstep.
 
-    ``registers``/``flags`` map names to lane vectors; main memory and
-    the scratchpads are per-lane.  The microsequencer (``upc``,
-    ``cycles``, ``micro_stack``, ``halted``) is *shared* — the
-    lockstep invariant — and ``live``/``live_vec``/``peeled`` track
+    ``registers``/``flags`` map names to lane vectors; ``memory`` and
+    ``scratchpad`` read and write lane vectors through the scalar
+    stores' ``read``/``write`` surface, so the decoded engine's memory
+    and scratchpad steps run on them unchanged.  The microsequencer
+    (``upc``, ``cycles``, ``micro_stack``, ``halted``) is *shared* —
+    the lockstep invariant — and ``live``/``live_vec``/``peeled`` track
     which lanes are still following the batch leader.
     """
 
@@ -392,13 +391,19 @@ class BatchedState:
         self.live = [True] * n
         self.live_vec = ops.full(n, 1)
         self.peeled: dict[int, str] = {}
+        # The stores call back into the state to peel lanes.  A weak
+        # reference keeps that from forming a cycle, which would hold
+        # each finished batch's memory until the cyclic collector ran.
+        lanes = weakref.proxy(self)
         if ops.name == "numpy" and not paging:
-            self.memory = _DenseMemory(n)
+            self.memory = _DenseMemory(lanes)
         else:
-            self.memory = _LaneMemories(n, paging=paging)
-        self.scratchpads = [
+            self.memory = _LaneMemories(lanes, [
+                MainMemory(paging_enabled=paging) for _ in range(n)
+            ], "trap")
+        self.scratchpad = _LaneMemories(lanes, [
             Scratchpad(machine.scratchpad_size) for _ in range(n)
-        ]
+        ], "scratchpad")
         self.upc = 0
         self.cycles = 0
         self.micro_stack: list[int] = []
@@ -442,6 +447,25 @@ class BatchedState:
         register = self.machine.registers[name]
         self.registers[name] = self.ops.full(self.n, value & register.mask)
 
+    def write_reg(self, name: str, value) -> None:
+        """Commit a lane vector to a plain register, applying
+        :data:`PLANT_LANE_XOR` to lane 0 while the plant is armed."""
+        committed = value & self.machine.registers[name].mask
+        if PLANT_LANE_XOR:
+            committed[0] = int(committed[0]) ^ PLANT_LANE_XOR
+        self.registers[name] = committed
+
+    def push_return(self, address: int) -> None:
+        if len(self.micro_stack) >= self.machine.micro_stack_depth:
+            # Shared stack: every lane overflows identically.
+            raise _PeelAll("stack-overflow")
+        self.micro_stack.append(address)
+
+    def pop_return(self) -> int:
+        if not self.micro_stack:
+            raise _PeelAll("stack-underflow")
+        return self.micro_stack.pop()
+
     def init_register(self, lane: int, name: str, value: int) -> None:
         """Loader-level per-lane poke with ``write_reg`` checking."""
         files = self.machine.registers
@@ -454,192 +478,87 @@ class BatchedState:
 
 
 # ----------------------------------------------------------------------
-# Batched operand pre-resolution
+# Batched decode backend
 # ----------------------------------------------------------------------
-def _b_src_reader(state: BatchedState, operand):
-    """A vector reader for one source operand.
-
-    Immediates become cached constant vectors (treated as immutable —
-    every consumer derives fresh vectors through operators); registers
-    become direct slot lookups.  Windows and unknown names refuse
-    batching (the scalar replay reproduces their dynamic behaviour,
-    including the raises).
-    """
-    if not isinstance(operand, Reg):
-        constant = state.ops.full(state.n, operand.value)
-        return lambda b: constant
-    name = operand.name
-    files = state.machine.registers
-    if files.is_window(name) or name not in files.registers:
-        raise _PeelAll(f"dynamic register {name!r}")
-    return lambda b: b.registers[name]
+def _lane(value, lane: int) -> int:
+    """One lane of a vector operand, or a scalar default as is."""
+    return value if isinstance(value, int) else int(value[lane])
 
 
-def _b_dest_slot(state: BatchedState, name: str) -> tuple[str, int]:
-    """``(target, mask)`` for a plain writable destination register.
+class _LaneSteps:
+    """Decode backend for a :class:`BatchedState` (see
+    :func:`repro.sim.decode.build_plan`).
 
-    Anything the scalar engine routes through ``write_reg`` at commit
-    time (windows, read-only, unknown names) refuses batching.
-    """
-    files = state.machine.registers
-    if files.is_window(name) or name not in files.registers:
-        raise _PeelAll(f"dynamic destination {name!r}")
-    register = files.registers[name]
-    if register.readonly:
-        raise _PeelAll(f"read-only destination {name!r}")
-    return (name, register.mask)
-
-
-# ----------------------------------------------------------------------
-# Batched step factories (exact vector mirrors of repro.sim.decode)
-# ----------------------------------------------------------------------
-def _b_step_read(read_addr, target, mask):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        reg_writes.append(
-            (target, mask, b.memory.read_vec(b, read_addr(b)))
-        )
-
-    return step
-
-
-def _b_step_write(read_addr, read_data):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        addrs = read_addr(b)
-        data = read_data(b)
-        memory_ops.append(
-            lambda a=addrs, d=data: b.memory.write_vec(b, a, d)
-        )
-        # Touch now so pagefaults surface at the op, not at commit —
-        # only meaningful in per-lane mode (dense mode never pages).
-        touch = getattr(b.memory, "touch", None)
-        if touch is not None:
-            touch(b, addrs, data)
-
-    return step
-
-
-def _b_step_ldscr(read_addr, target, mask):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        addrs = read_addr(b)
-        values = [0] * b.n
-        for lane in b.live_lanes():
-            try:
-                values[lane] = b.scratchpads[lane].read(int(addrs[lane]))
-            except SimulationError:
-                b.peel(lane, "scratchpad")
-        reg_writes.append((target, mask, b.ops.vector(values)))
-
-    return step
-
-
-def _b_step_stscr(read_value, read_addr):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        values = read_value(b)
-        addrs = read_addr(b)
-
-        def commit(a=addrs, v=values):
-            for lane in b.live_lanes():
-                try:
-                    b.scratchpads[lane].write(int(a[lane]), int(v[lane]))
-                except SimulationError:
-                    b.peel(lane, "scratchpad")
-
-        memory_ops.append(commit)
-
-    return step
-
-
-def _b_step_mov(read_src, target, mask, word_mask):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        reg_writes.append((target, mask, read_src(b) & word_mask))
-
-    return step
-
-
-def _b_step_add(read_a, read_b, target, mask, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (read_a(b) & word_mask) + (read_b(b) & word_mask)
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-def _b_step_sub(read_a, read_b, target, mask, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (
-            (read_a(b) & word_mask)
-            + ((read_b(b) ^ word_mask) & word_mask) + 1
-        )
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-def _b_step_cmp(read_a, read_b, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (
-            (read_a(b) & word_mask)
-            + ((read_b(b) ^ word_mask) & word_mask) + 1
-        )
-        value = total & word_mask
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-def _b_step_incdec(read_a, target, mask, word_mask, sign_shift, delta):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        total = (read_a(b) & word_mask) + delta
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = (total > word_mask) * 1
-
-    return step
-
-
-_LOGIC = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
-
-
-def _b_step_logic(fn, read_a, read_b, target, mask, word_mask, sign_shift):
-    def step(b, reg_writes, flag_writes, memory_ops):
-        value = fn(read_a(b) & word_mask, read_b(b) & word_mask)
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = (value == 0) * 1
-        flag_writes["N"] = (value >> sign_shift) & 1
-
-    return step
-
-
-def _b_step_generic(name, readers, has_dest, commit, read_old, width):
-    """Per-lane :func:`evaluate` fallback for un-inlined ops.
-
-    The loop costs one scalar evaluation per live lane — same as the
-    scalar engine — but these ops are rare in generated and compiled
-    code; the hot ALU orders above stay fully vectorised.  A per-lane
-    :class:`SimulationError` (e.g. a negative shift count) peels that
-    lane; the scalar replay raises identically.
+    Readers return lane vectors, so the shared table, memory and
+    scratchpad steps run on whole batches.  What the scalar backend
+    keeps dynamic — windows, read-only and unknown registers,
+    ``setblk`` — refuses batching here instead: the scalar replay
+    reproduces it, raises included.
+    ``poll`` lowers to nothing: batches never admit an interrupt
+    source, so the pending latch can never be set (the scalar step is
+    an identical no-op then).
     """
 
-    def step(b, reg_writes, flag_writes, memory_ops):
-        src_vecs = [read(b) for read in readers]
-        old_vec = read_old(b) if read_old is not None else None
-        carry_vec = b.flags.get("C")
+    def __init__(self, state: BatchedState):
+        self.state = state
+        self.machine = state.machine
+        self.files = state.machine.registers
+
+    def reader(self, operand):
+        """Immediates become cached constant vectors (treated as
+        immutable — every consumer derives fresh vectors through
+        operators); registers become direct slot lookups."""
+        if not isinstance(operand, Reg):
+            constant = self.state.ops.full(self.state.n, operand.value)
+            return lambda b: constant
+        name = operand.name
+        if self.files.is_window(name) or name not in self.files.registers:
+            raise _PeelAll(f"dynamic register {name!r}")
+        return lambda b: b.registers[name]
+
+    def dest(self, name: str) -> tuple[str, int | None]:
+        """``(target, mask)`` for a plain writable destination register.
+
+        While :data:`PLANT_LANE_XOR` is armed the mask is None, which
+        routes every commit through :meth:`BatchedState.write_reg`.
+        """
+        target, mask = _dest_slot(self.files, name)
+        if mask is None:
+            raise _PeelAll(f"dynamic destination {name!r}")
+        return (target, None if PLANT_LANE_XOR else mask)
+
+    def poll(self):
+        return None
+
+    def setblk(self, read_value):
+        raise _PeelAll("setblk")
+
+    def write(self, read_addr, read_data):
+        def step(b, reg_writes, flag_writes, memory_ops):
+            addrs = read_addr(b)
+            data = read_data(b)
+            memory_ops.append(
+                lambda a=addrs, d=data: b.memory.write(a, d)
+            )
+            # Touch now so pagefaults surface at the op, not at commit —
+            # only meaningful in per-lane mode (dense mode never pages).
+            touch = getattr(b.memory, "touch", None)
+            if touch is not None:
+                touch(addrs, data)
+
+        return step
+
+    def evaluate(self, name, srcs, width, dest_old=0, carry_in=0):
+        """:func:`evaluate` lane by lane, for ops without a table entry.
+
+        Returns an :class:`OpResult` of lane vectors.  The loop costs
+        one scalar evaluation per live lane — same as the scalar
+        engine — but these ops are rare in generated and compiled code;
+        the table ops stay fully vectorised.  A per-lane
+        :class:`SimulationError` (e.g. a negative shift count) peels
+        that lane; the scalar replay raises identically.
+        """
+        b = self.state
         values = [0] * b.n
         flag_cols: dict[str, list[int]] = {}
         wrote_value = False
@@ -647,14 +566,10 @@ def _b_step_generic(name, readers, has_dest, commit, read_old, width):
             try:
                 result = evaluate(
                     name,
-                    [int(vec[lane]) for vec in src_vecs],
+                    [int(vec[lane]) for vec in srcs],
                     width,
-                    dest_old=(
-                        int(old_vec[lane]) if old_vec is not None else 0
-                    ),
-                    carry_in=(
-                        int(carry_vec[lane]) if carry_vec is not None else 0
-                    ),
+                    dest_old=_lane(dest_old, lane),
+                    carry_in=_lane(carry_in, lane),
                 )
             except SimulationError:
                 b.peel(lane, "op")
@@ -664,114 +579,12 @@ def _b_step_generic(name, readers, has_dest, commit, read_old, width):
                 wrote_value = True
             for flag, value in result.flags.items():
                 flag_cols.setdefault(flag, [0] * b.n)[lane] = value
-        if wrote_value and has_dest:
-            reg_writes.append((commit[0], commit[1], b.ops.vector(values)))
-        for flag, column in flag_cols.items():
-            flag_writes[flag] = b.ops.vector(column)
-
-    return step
-
-
-def _b_decode_op(state: BatchedState, placed):
-    """Lower one placed op to a batched step (None for no-ops).
-
-    ``poll`` lowers to nothing: batches never admit an interrupt
-    source, so the pending latch can never be set (the scalar step is
-    an identical no-op then).  ``setblk`` implies a banked register
-    file, which refuses admission before decode is ever reached.
-    """
-    machine = state.machine
-    op = placed.op
-    name = op.op
-    if name in ("nop", "poll"):
-        return None
-    if name == "setblk":
-        raise _PeelAll("setblk")
-
-    readers = tuple(_b_src_reader(state, src) for src in op.srcs)
-    if name == "read":
-        target, mask = _b_dest_slot(state, op.dest.name)
-        return _b_step_read(readers[0], target, mask)
-    if name == "write":
-        return _b_step_write(readers[0], readers[1])
-    if name == "ldscr":
-        target, mask = _b_dest_slot(state, op.dest.name)
-        return _b_step_ldscr(readers[0], target, mask)
-    if name == "stscr":
-        return _b_step_stscr(readers[0], readers[1])
-
-    word_mask = machine.mask()
-    sign_shift = machine.word_size - 1
-    if op.dest is not None:
-        target, mask = _b_dest_slot(state, op.dest.name)
-        if name in ("mov", "movi"):
-            return _b_step_mov(readers[0], target, mask, word_mask)
-        if name == "add":
-            return _b_step_add(readers[0], readers[1], target, mask,
-                               word_mask, sign_shift)
-        if name == "sub":
-            return _b_step_sub(readers[0], readers[1], target, mask,
-                               word_mask, sign_shift)
-        if name == "inc":
-            return _b_step_incdec(readers[0], target, mask, word_mask,
-                                  sign_shift, 1)
-        if name == "dec":
-            return _b_step_incdec(readers[0], target, mask, word_mask,
-                                  sign_shift, word_mask)
-        if name in _LOGIC:
-            return _b_step_logic(_LOGIC[name], readers[0], readers[1],
-                                 target, mask, word_mask, sign_shift)
-    if name == "cmp":
-        return _b_step_cmp(readers[0], readers[1], word_mask, sign_shift)
-
-    if op.dest is not None:
-        commit = _b_dest_slot(state, op.dest.name)
-        read_old = _b_src_reader(state, op.dest)
-    else:
-        commit = ("", None)
-        read_old = None
-    return _b_step_generic(
-        name, readers, op.dest is not None, commit, read_old,
-        machine.word_size,
-    )
-
-
-# ----------------------------------------------------------------------
-# Batched terminator pre-decoding
-# ----------------------------------------------------------------------
-def _b_decode_terminator(state, terminator, address, resident):
-    base = resident.base
-    labels = resident.program.labels
-
-    def resolve(label: str) -> int:
-        return base + labels[label]
-
-    if terminator is None or isinstance(terminator, (Fallthrough, Jump)):
-        target = (
-            address + 1 if terminator is None
-            else resolve(terminator.target)
+        return OpResult(
+            b.ops.vector(values) if wrote_value else None,
+            {flag: b.ops.vector(col) for flag, col in flag_cols.items()},
         )
 
-        def seq_jump(b):
-            b.upc = target
-
-        return seq_jump
-
-    if isinstance(terminator, Branch):
-        taken = resolve(terminator.target)
-        not_taken = resolve(terminator.otherwise)
-        cond = terminator.cond
-        if cond == "TRUE":
-            def seq_always(b):
-                b.upc = taken
-
-            return seq_always
-        test = _COND_TESTS.get(cond)
-        if test is None:
-            # condition_holds would raise identically for every lane.
-            raise _PeelAll(f"condition {cond!r}")
-        flag, expected = test
-
+    def branch(self, flag, expected, taken, not_taken):
         def seq_branch(b):
             flag_vec = b.flags.get(flag)
             if flag_vec is None:
@@ -782,13 +595,7 @@ def _b_decode_terminator(state, terminator, address, resident):
 
         return seq_branch
 
-    if isinstance(terminator, Multiway):
-        read_value = _b_src_reader(state, terminator.reg)
-        cases = tuple(
-            (case.matches, resolve(case.target)) for case in terminator.cases
-        )
-        default = resolve(terminator.default)
-
+    def multiway(self, read_value, cases, default):
         def seq_multiway(b):
             values = read_value(b)
             targets = [0] * b.n
@@ -803,99 +610,6 @@ def _b_decode_terminator(state, terminator, address, resident):
             b.settle(b.ops.vector(targets), "multiway")
 
         return seq_multiway
-
-    if isinstance(terminator, Call):
-        return_to = resolve(terminator.next)
-        procedure = base + resident.program.procedures[terminator.proc]
-        depth = state.machine.micro_stack_depth
-
-        def seq_call(b):
-            if len(b.micro_stack) >= depth:
-                # Shared stack: every lane overflows identically.
-                raise _PeelAll("stack-overflow")
-            b.micro_stack.append(return_to)
-            b.upc = procedure
-
-        return seq_call
-
-    if isinstance(terminator, Ret):
-        def seq_ret(b):
-            if not b.micro_stack:
-                raise _PeelAll("stack-underflow")
-            b.upc = b.micro_stack.pop()
-
-        return seq_ret
-
-    if isinstance(terminator, Exit):
-        value = terminator.value
-        if value is None:
-            def seq_exit(b):
-                b.halted = True
-
-            return seq_exit
-        read_value = _b_src_reader(state, value)
-
-        def seq_exit_value(b):
-            b.halted = True
-            b.exit_value = read_value(b)
-
-        return seq_exit_value
-
-    raise _PeelAll(f"terminator {terminator!r}")
-
-
-class _BatchPlan:
-    """One control-store word, lowered for lockstep execution."""
-
-    __slots__ = ("phases", "cycles", "sequence")
-
-    def __init__(self, phases, cycles, sequence):
-        self.phases = phases
-        self.cycles = cycles
-        self.sequence = sequence
-
-    def execute(self, b: BatchedState) -> None:
-        """Same commit discipline as the scalar plan: within a phase
-        all reads see phase-entry state, then register writes commit,
-        then memory actions, then flag updates."""
-        for steps in self.phases:
-            reg_writes: list = []
-            flag_writes: dict = {}
-            memory_ops: list[Callable[[], None]] = []
-            for step in steps:
-                step(b, reg_writes, flag_writes, memory_ops)
-            if reg_writes:
-                registers = b.registers
-                for target, mask, value in reg_writes:
-                    committed = value & mask
-                    if PLANT_LANE_XOR:
-                        committed[0] = int(committed[0]) ^ PLANT_LANE_XOR
-                    registers[target] = committed
-            for action in memory_ops:
-                action()
-            if flag_writes:
-                b.flags.update(flag_writes)
-
-
-def _b_decode_word(state, loaded, resident, address) -> _BatchPlan:
-    machine = state.machine
-    instruction = loaded.instruction
-    phases = []
-    for group in instruction.phase_groups(machine):
-        steps = tuple(
-            step
-            for step in (_b_decode_op(state, placed) for placed in group)
-            if step is not None
-        )
-        if steps:
-            phases.append(steps)
-    return _BatchPlan(
-        phases=tuple(phases),
-        cycles=instruction.cached_cycles(machine),
-        sequence=_b_decode_terminator(
-            state, instruction.terminator, address, resident
-        ),
-    )
 
 
 # ----------------------------------------------------------------------
@@ -974,7 +688,8 @@ def _run_lockstep(
         b.poke_constant(name, value)
     b.upc = resident.entry
 
-    plans: dict[int, _BatchPlan] = {}
+    steps = _LaneSteps(b)
+    plans: dict[int, ExecutionPlan] = {}
     decodes = 0
     instructions = 0
     try:
@@ -986,9 +701,7 @@ def _run_lockstep(
                 break
             plan = plans.get(b.upc)
             if plan is None:
-                plan = _b_decode_word(
-                    b, store.fetch(b.upc), resident, b.upc
-                )
+                plan = build_plan(steps, store.fetch(b.upc), resident, b.upc)
                 plans[b.upc] = plan
                 decodes += 1
             plan.execute(b)
@@ -1036,7 +749,7 @@ def _run_lockstep(
                 name: int(vec[lane]) for name, vec in b.registers.items()
             },
             flags={name: int(vec[lane]) for name, vec in b.flags.items()},
-            scratchpad=b.scratchpads[lane],
+            scratchpad=b.scratchpad.lane_view(lane),
             memory=b.memory.lane_view(lane),
             peeled=False,
         )

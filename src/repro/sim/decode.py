@@ -12,12 +12,22 @@ This module lowers a :class:`~repro.asm.assembler.LoadedWord` into an
 :class:`ExecutionPlan`: phase-grouped tuples of *step closures* with
 operand readers pre-bound (immediates inlined as constants, registers
 resolved to direct slot lookups where the machine's banking allows),
-semantics pre-dispatched (the hot ALU orders are inlined; the rest
-pre-bind :func:`repro.sim.semantics.evaluate`), the microinstruction's
-cycle count pre-computed, and the terminator compiled to a single
+semantics pre-dispatched (the hot ALU orders are inlined from the op
+table in :mod:`repro.sim.ops`; the rest pre-bind
+:func:`repro.sim.semantics.evaluate`), the microinstruction's cycle
+count pre-computed, and the terminator compiled to a single
 sequencing closure with label lookups already resolved to absolute
-control-store addresses.  The hot loop then becomes "fetch plan, run
-closures" — the regime VADL-style generated simulators live in.
+control-store addresses (:func:`terminator_metadata`).  The hot loop
+then becomes "fetch plan, run closures" — the regime VADL-style
+generated simulators live in.
+
+The lowering is written once over a *decode backend*:
+:class:`ScalarSteps` here, and the lane-vector backend of
+:mod:`repro.sim.batch`.  A backend supplies operand readers,
+destination slots, the steps whose semantics differ per lane (``poll``,
+the write-allocate check of ``write``, ``setblk``), the ``evaluate``
+datapath and the data-dependent sequencers; the table ops, the other
+memory and scratchpad steps, the plan and its commit loop are shared.
 
 **Fault-injection correctness.**  Plans are cached per absolute
 address *and per encoded word* (:class:`PlanCache`): when a
@@ -56,6 +66,7 @@ from repro.mir.block import (
     Ret,
 )
 from repro.mir.operands import Reg
+from repro.sim.ops import OPS, Op, step_factory
 from repro.sim.semantics import condition_holds, evaluate
 from repro.sim.state import StateBackend
 
@@ -83,6 +94,7 @@ class ExecutionPlan:
     order; ``cycles`` is the pre-computed microinstruction latency;
     ``sequence`` advances the microprogram counter (labels already
     resolved against the resident program the plan was decoded for).
+    The same plan runs scalar and batched states.
     """
 
     __slots__ = ("phases", "cycles", "sequence")
@@ -100,7 +112,9 @@ class ExecutionPlan:
     def execute(self, state: StateBackend) -> bool:
         """Run all phases; same commit discipline as the interpreter:
         within a phase all reads see phase-entry state, then register
-        writes commit, then memory actions, then flag updates.
+        writes commit, then memory actions, then flag updates.  A
+        ``None`` mask routes a register commit through
+        ``state.write_reg``.
 
         Returns True if a pending interrupt was serviced by a ``poll``.
         """
@@ -207,24 +221,8 @@ class PlanCache:
 
 
 # ----------------------------------------------------------------------
-# Operand pre-resolution
+# Scalar decode backend
 # ----------------------------------------------------------------------
-def _src_reader(files, operand) -> Callable[[StateBackend], int]:
-    """A reader closure for one source operand.
-
-    Immediates become constants; plain registers become direct slot
-    lookups; banked windows (and names the register file does not
-    know, which must keep raising through ``read_reg``) stay dynamic.
-    """
-    if not isinstance(operand, Reg):
-        value = operand.value
-        return lambda state: value
-    name = operand.name
-    if files.is_window(name) or name not in files.registers:
-        return lambda state: state.read_reg(name)
-    return lambda state: state.registers[name]
-
-
 def _dest_slot(files, name: str) -> tuple[str, int | None]:
     """Pre-resolve a destination register to ``(target, mask)``.
 
@@ -241,280 +239,102 @@ def _dest_slot(files, name: str) -> tuple[str, int | None]:
     return (name, register.mask)
 
 
-# ----------------------------------------------------------------------
-# Step factories
-# ----------------------------------------------------------------------
-def _step_poll(simulator) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        if state.interrupt_pending and simulator.interrupt_handler:
-            simulator.interrupt_handler(state)
-            state.interrupt_pending = False
-            return True
-        return False
+def inline_spec(files, op) -> Op | None:
+    """The table entry ``op`` is inlined with, or None for ``evaluate``.
 
-    return step
-
-
-def _step_read(read_addr, target, mask) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        reg_writes.append((target, mask, state.memory.read(read_addr(state))))
-
-    return step
-
-
-def _step_write(read_addr, read_data) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        address = read_addr(state)
-        data = read_data(state)
-        memory_ops.append(lambda a=address, d=data: state.memory.write(a, d))
-        # Touch now so pagefaults surface at the op, not at commit
-        # (write-allocate check) — same as the interpretive path.
-        if not state.memory.is_mapped(address):
-            state.memory.write(address, data)
-
-    return step
-
-
-def _step_ldscr(read_addr, target, mask) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        reg_writes.append(
-            (target, mask, state.scratchpad.read(read_addr(state)))
-        )
-
-    return step
-
-
-def _step_stscr(read_value, read_addr) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        value = read_value(state)
-        address = read_addr(state)
-        memory_ops.append(
-            lambda a=address, v=value: state.scratchpad.write(a, v)
-        )
-
-    return step
-
-
-def _step_setblk(read_value, pointer: str | None, mask: int | None) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        value = read_value(state)
-        if pointer is None:
-            raise SimulationError("setblk on unbanked machine")
-        reg_writes.append((pointer, mask, value))
-
-    return step
-
-
-def _step_mov(read_src, target, mask, word_mask) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        reg_writes.append((target, mask, read_src(state) & word_mask))
-
-    return step
-
-
-def _step_add(read_a, read_b, target, mask, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + (read_b(state) & word_mask)
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-def _step_sub(read_a, read_b, target, mask, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + ((read_b(state) ^ word_mask) & word_mask) + 1
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-def _step_cmp(read_a, read_b, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + ((read_b(state) ^ word_mask) & word_mask) + 1
-        value = total & word_mask
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-def _step_incdec(read_a, target, mask, word_mask, sign_shift, delta) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        total = (read_a(state) & word_mask) + delta
-        value = total & word_mask
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-        flag_writes["C"] = int(total > word_mask)
-
-    return step
-
-
-_LOGIC = {
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
-}
-
-
-def _step_logic(fn, read_a, read_b, target, mask, word_mask, sign_shift) -> Step:
-    def step(state, reg_writes, flag_writes, memory_ops):
-        value = fn(read_a(state) & word_mask, read_b(state) & word_mask)
-        reg_writes.append((target, mask, value))
-        flag_writes["Z"] = int(value == 0)
-        flag_writes["N"] = (value >> sign_shift) & 1
-
-    return step
-
-
-def _step_generic(name, readers, dest, commit, read_old, width) -> Step:
-    """Fallback for ops without an inlined specialization: pre-bound
-    :func:`evaluate` call with the interpreter's exact argument set."""
-
-    def step(state, reg_writes, flag_writes, memory_ops):
-        src_values = [read(state) for read in readers]
-        result = evaluate(
-            name,
-            src_values,
-            width,
-            dest_old=read_old(state) if read_old is not None else 0,
-            carry_in=state.flags.get("C", 0),
-        )
-        if result.value is not None and dest:
-            reg_writes.append((commit[0], commit[1], result.value))
-        if result.flags:
-            flag_writes.update(result.flags)
-
-    return step
-
-
-def _decode_op(simulator, placed) -> Step | None:
-    """Lower one placed op to a step closure (None for ``nop``)."""
-    machine = simulator.machine
-    files = machine.registers
-    op = placed.op
-    name = op.op
-    if name == "nop":
+    An op that writes a register is inlined only when the destination
+    is a plain writable register (direct slot commit); anything
+    trickier — windows, read-only, a missing dest — takes the generic
+    path so error behaviour stays identical to the interpreter.  Every
+    fast engine decides with this one predicate.
+    """
+    spec = OPS.get(op.op)
+    if spec is None or not spec.writes:
+        return spec
+    if op.dest is None or _dest_slot(files, op.dest.name)[1] is None:
         return None
-    if name == "poll":
-        return _step_poll(simulator)
-
-    readers = tuple(_src_reader(files, src) for src in op.srcs)
-    if name == "read":
-        target, mask = _dest_slot(files, op.dest.name)
-        return _step_read(readers[0], target, mask)
-    if name == "write":
-        return _step_write(readers[0], readers[1])
-    if name == "ldscr":
-        target, mask = _dest_slot(files, op.dest.name)
-        return _step_ldscr(readers[0], target, mask)
-    if name == "stscr":
-        return _step_stscr(readers[0], readers[1])
-    if name == "setblk":
-        pointer = files.bank_pointer
-        if pointer is None:
-            return _step_setblk(readers[0], None, None)
-        target, mask = _dest_slot(files, pointer)
-        return _step_setblk(readers[0], target, mask)
-
-    word_mask = machine.mask()
-    sign_shift = machine.word_size - 1
-    # Inline specializations are only taken when the destination is a
-    # plain writable register (direct slot commit); anything trickier
-    # — windows, read-only, missing dest — takes the generic path so
-    # error behaviour stays identical to the interpreter.
-    if op.dest is not None:
-        target, mask = _dest_slot(files, op.dest.name)
-        if mask is not None:
-            if name in ("mov", "movi"):
-                return _step_mov(readers[0], target, mask, word_mask)
-            if name == "add":
-                return _step_add(readers[0], readers[1], target, mask,
-                                 word_mask, sign_shift)
-            if name == "sub":
-                return _step_sub(readers[0], readers[1], target, mask,
-                                 word_mask, sign_shift)
-            if name == "inc":
-                return _step_incdec(readers[0], target, mask, word_mask,
-                                    sign_shift, 1)
-            if name == "dec":
-                return _step_incdec(readers[0], target, mask, word_mask,
-                                    sign_shift, word_mask)
-            if name in _LOGIC:
-                return _step_logic(_LOGIC[name], readers[0], readers[1],
-                                   target, mask, word_mask, sign_shift)
-    if name == "cmp":
-        return _step_cmp(readers[0], readers[1], word_mask, sign_shift)
-
-    if op.dest is not None:
-        commit = _dest_slot(files, op.dest.name)
-        read_old = _src_reader(files, op.dest)
-    else:
-        commit = ("", None)
-        read_old = None
-    return _step_generic(
-        name, readers, op.dest is not None, commit, read_old,
-        machine.word_size,
-    )
+    return spec
 
 
-# ----------------------------------------------------------------------
-# Terminator pre-decoding
-# ----------------------------------------------------------------------
-def _decode_terminator(
-    simulator, terminator, address: int, resident: ResidentProgram
-) -> Callable[[StateBackend], None]:
-    """Compile sequencing to one closure with absolute targets."""
-    base = resident.base
-    labels = resident.program.labels
+class ScalarSteps:
+    """Decode backend for one scalar :class:`StateBackend`.
 
-    def resolve(label: str) -> int:
-        return base + labels[label]
+    :func:`build_plan` asks a backend for operand readers, destination
+    slots, the ``poll``, ``write`` and ``setblk`` steps, the datapath of
+    the ``evaluate`` fallback and the two data-dependent sequencers.
+    Everything else — the table ops, the memory and scratchpad loads
+    and stores, the plan and the rest of sequencing — is shared with
+    the batched backend in :mod:`repro.sim.batch`.
+    """
 
-    if terminator is None:
-        successor = address + 1
+    def __init__(self, simulator):
+        self.simulator = simulator
+        self.machine = simulator.machine
+        self.files = simulator.machine.registers
 
-        def seq_next(state):
-            state.upc = successor
+    def reader(self, operand) -> Callable[[StateBackend], int]:
+        """A reader closure for one source operand.
 
-        return seq_next
+        Immediates become constants; plain registers become direct slot
+        lookups; banked windows (and names the register file does not
+        know, which must keep raising through ``read_reg``) stay
+        dynamic.
+        """
+        if not isinstance(operand, Reg):
+            value = operand.value
+            return lambda state: value
+        name = operand.name
+        if self.files.is_window(name) or name not in self.files.registers:
+            return lambda state: state.read_reg(name)
+        return lambda state: state.registers[name]
 
-    if isinstance(terminator, (Fallthrough, Jump)):
-        target = resolve(terminator.target)
+    def dest(self, name: str) -> tuple[str, int | None]:
+        return _dest_slot(self.files, name)
 
-        def seq_jump(state):
-            state.upc = target
+    def poll(self) -> Step:
+        simulator = self.simulator
 
-        return seq_jump
+        def step(state, reg_writes, flag_writes, memory_ops):
+            if state.interrupt_pending and simulator.interrupt_handler:
+                simulator.interrupt_handler(state)
+                state.interrupt_pending = False
+                return True
+            return False
 
-    if isinstance(terminator, Branch):
-        taken = resolve(terminator.target)
-        not_taken = resolve(terminator.otherwise)
-        cond = terminator.cond
-        if cond == "TRUE":
-            def seq_always(state):
-                state.upc = taken
+        return step
 
-            return seq_always
-        test = _COND_TESTS.get(cond)
-        if test is None:
-            def seq_cond_generic(state):
-                state.upc = (
-                    taken if condition_holds(cond, state.flags) else not_taken
-                )
+    def write(self, read_addr, read_data) -> Step:
+        def step(state, reg_writes, flag_writes, memory_ops):
+            address = read_addr(state)
+            data = read_data(state)
+            memory_ops.append(
+                lambda a=address, d=data: state.memory.write(a, d)
+            )
+            # Touch now so pagefaults surface at the op, not at commit
+            # (write-allocate check) — same as the interpretive path.
+            if not state.memory.is_mapped(address):
+                state.memory.write(address, data)
 
-            return seq_cond_generic
-        flag, expected = test
+        return step
 
+    def setblk(self, read_value) -> Step:
+        pointer = self.files.bank_pointer
+        target, mask = (
+            (None, None) if pointer is None else self.dest(pointer)
+        )
+
+        def step(state, reg_writes, flag_writes, memory_ops):
+            value = read_value(state)
+            if target is None:
+                raise SimulationError("setblk on unbanked machine")
+            reg_writes.append((target, mask, value))
+
+        return step
+
+    #: The ``evaluate`` fallback's datapath: the reference itself.
+    evaluate = staticmethod(evaluate)
+
+    def branch(self, flag, expected, taken, not_taken):
         def seq_branch(state):
             state.upc = (
                 taken if state.flags.get(flag, 0) == expected else not_taken
@@ -522,13 +342,7 @@ def _decode_terminator(
 
         return seq_branch
 
-    if isinstance(terminator, Multiway):
-        read_value = _src_reader(simulator.machine.registers, terminator.reg)
-        cases = tuple(
-            (case.matches, resolve(case.target)) for case in terminator.cases
-        )
-        default = resolve(terminator.default)
-
+    def multiway(self, read_value, cases, default):
         def seq_multiway(state):
             value = read_value(state)
             for matches, target in cases:
@@ -539,51 +353,105 @@ def _decode_terminator(
 
         return seq_multiway
 
-    if isinstance(terminator, Call):
-        return_to = resolve(terminator.next)
-        procedure = base + resident.program.procedures[terminator.proc]
-
-        def seq_call(state):
-            state.push_return(return_to)
-            state.upc = procedure
-
-        return seq_call
-
-    if isinstance(terminator, Ret):
-        def seq_ret(state):
-            state.upc = state.pop_return()
-
-        return seq_ret
-
-    if isinstance(terminator, Exit):
-        value = terminator.value
-        if value is None:
-            def seq_exit(state):
-                state.halted = True
-
-            return seq_exit
-        value_reg = value.name
-
-        def seq_exit_value(state):
-            state.halted = True
-            state.exit_value = state.read_reg(value_reg)
-
-        return seq_exit_value
-
-    raise SimulationError(f"unknown terminator {terminator!r}")
-
 
 # ----------------------------------------------------------------------
+# Shared lowering
+# ----------------------------------------------------------------------
+def decode_op(steps, op) -> Step | None:
+    """Lower one micro-op through a decode backend (None for ``nop``)."""
+    name = op.op
+    if name == "nop":
+        return None
+    if name == "poll":
+        return steps.poll()
+    readers = tuple(steps.reader(src) for src in op.srcs)
+    if name == "read":
+        return _read_step(readers[0], *steps.dest(op.dest.name))
+    if name == "write":
+        return steps.write(readers[0], readers[1])
+    if name == "ldscr":
+        return _ldscr_step(readers[0], *steps.dest(op.dest.name))
+    if name == "stscr":
+        return _stscr_step(readers[0], readers[1])
+    if name == "setblk":
+        return steps.setblk(readers[0])
+
+    machine = steps.machine
+    spec = inline_spec(machine.registers, op)
+    if spec is not None:
+        target, mask = steps.dest(op.dest.name) if spec.writes else ("", None)
+        return step_factory(name)(
+            readers[0], readers[1] if spec.arity == 2 else None,
+            target, mask, machine.mask(), machine.word_size - 1,
+        )
+    if op.dest is not None:
+        commit = steps.dest(op.dest.name)
+        read_old = steps.reader(op.dest)
+    else:
+        commit = None
+        read_old = None
+    return _generic_step(
+        steps.evaluate, name, readers, commit, read_old, machine.word_size
+    )
+
+
+def _read_step(read_addr, target, mask) -> Step:
+    def step(state, reg_writes, flag_writes, memory_ops):
+        reg_writes.append((target, mask, state.memory.read(read_addr(state))))
+
+    return step
+
+
+def _ldscr_step(read_addr, target, mask) -> Step:
+    def step(state, reg_writes, flag_writes, memory_ops):
+        reg_writes.append(
+            (target, mask, state.scratchpad.read(read_addr(state)))
+        )
+
+    return step
+
+
+def _stscr_step(read_value, read_addr) -> Step:
+    def step(state, reg_writes, flag_writes, memory_ops):
+        value = read_value(state)
+        address = read_addr(state)
+        memory_ops.append(
+            lambda a=address, v=value: state.scratchpad.write(a, v)
+        )
+
+    return step
+
+
+def _generic_step(evaluate, name, readers, commit, read_old, width) -> Step:
+    """Fallback for ops without a table entry: a pre-bound call of the
+    backend's ``evaluate`` with the interpreter's exact argument set."""
+
+    def step(state, reg_writes, flag_writes, memory_ops):
+        result = evaluate(
+            name,
+            [read(state) for read in readers],
+            width,
+            dest_old=read_old(state) if read_old is not None else 0,
+            carry_in=state.flags.get("C", 0),
+        )
+        if result.value is not None and commit is not None:
+            reg_writes.append((commit[0], commit[1], result.value))
+        if result.flags:
+            flag_writes.update(result.flags)
+
+    return step
+
+
 def terminator_metadata(
     terminator, address: int, resident: ResidentProgram
 ) -> dict:
     """Static sequencing facts about one word's terminator.
 
-    Plan metadata for the trace stitcher (:mod:`repro.sim.trace`):
-    instead of re-deriving label resolution, the stitcher compiles its
-    guards from this, with targets resolved to absolute control-store
-    addresses exactly as :func:`_decode_terminator` resolves them —
-    one source of truth for sequencing.
+    The one description of sequencing: labels are resolved to absolute
+    control-store addresses here, and :func:`sequencer` (decoded and
+    batched plans) and the trace stitcher (:mod:`repro.sim.trace`)
+    build their sequencing from the result.  An unconditional branch
+    is reported as a jump.
     """
     base = resident.base
     labels = resident.program.labels
@@ -592,14 +460,25 @@ def terminator_metadata(
     if isinstance(terminator, (Fallthrough, Jump)):
         return {"kind": "jump", "target": base + labels[terminator.target]}
     if isinstance(terminator, Branch):
+        taken = base + labels[terminator.target]
+        if terminator.cond == "TRUE":
+            return {"kind": "jump", "target": taken}
         return {
             "kind": "branch",
             "cond": terminator.cond,
-            "taken": base + labels[terminator.target],
+            "taken": taken,
             "not_taken": base + labels[terminator.otherwise],
         }
     if isinstance(terminator, Multiway):
-        return {"kind": "multiway"}
+        return {
+            "kind": "multiway",
+            "reg": terminator.reg,
+            "cases": tuple(
+                (case.matches, base + labels[case.target])
+                for case in terminator.cases
+            ),
+            "default": base + labels[terminator.default],
+        }
     if isinstance(terminator, Call):
         return {
             "kind": "call",
@@ -609,30 +488,101 @@ def terminator_metadata(
     if isinstance(terminator, Ret):
         return {"kind": "ret"}
     if isinstance(terminator, Exit):
-        return {"kind": "exit"}
+        return {"kind": "exit", "value": terminator.value}
     raise SimulationError(f"unknown terminator {terminator!r}")
 
 
-# ----------------------------------------------------------------------
-def decode_word(
-    simulator, loaded: LoadedWord, resident: ResidentProgram, address: int
+def sequencer(steps, meta: dict) -> Callable[[StateBackend], None]:
+    """Compile one :func:`terminator_metadata` to a sequencing closure.
+
+    Branch tests and multiway selection go through the backend; jumps,
+    calls, returns and exits are the same closure on every state (the
+    batched state's return stack peels the batch where the scalar one
+    raises).
+    """
+    kind = meta["kind"]
+    if kind == "jump":
+        target = meta["target"]
+
+        def seq_jump(state):
+            state.upc = target
+
+        return seq_jump
+
+    if kind == "branch":
+        cond = meta["cond"]
+        taken, not_taken = meta["taken"], meta["not_taken"]
+        test = _COND_TESTS.get(cond)
+        if test is None:
+            def seq_cond_generic(state):
+                state.upc = (
+                    taken if condition_holds(cond, state.flags) else not_taken
+                )
+
+            return seq_cond_generic
+        return steps.branch(*test, taken, not_taken)
+
+    if kind == "multiway":
+        return steps.multiway(
+            steps.reader(meta["reg"]), meta["cases"], meta["default"]
+        )
+
+    if kind == "call":
+        target, return_to = meta["target"], meta["return_to"]
+
+        def seq_call(state):
+            state.push_return(return_to)
+            state.upc = target
+
+        return seq_call
+
+    if kind == "ret":
+        def seq_ret(state):
+            state.upc = state.pop_return()
+
+        return seq_ret
+
+    if meta["value"] is None:
+        def seq_exit(state):
+            state.halted = True
+
+        return seq_exit
+    read_value = steps.reader(meta["value"])
+
+    def seq_exit_value(state):
+        state.halted = True
+        state.exit_value = read_value(state)
+
+    return seq_exit_value
+
+
+def build_plan(
+    steps, loaded: LoadedWord, resident: ResidentProgram, address: int
 ) -> ExecutionPlan:
-    """Lower one loaded control-store word into an execution plan."""
-    machine = simulator.machine
+    """Lower one loaded control-store word through a decode backend."""
+    machine = steps.machine
     instruction = loaded.instruction
     phases = []
     for group in instruction.phase_groups(machine):
-        steps = tuple(
+        phase = tuple(
             step
-            for step in (_decode_op(simulator, placed) for placed in group)
+            for step in (decode_op(steps, placed.op) for placed in group)
             if step is not None
         )
-        if steps:
-            phases.append(steps)
+        if phase:
+            phases.append(phase)
     return ExecutionPlan(
         phases=tuple(phases),
         cycles=instruction.cached_cycles(machine),
-        sequence=_decode_terminator(
-            simulator, instruction.terminator, address, resident
+        sequence=sequencer(
+            steps,
+            terminator_metadata(instruction.terminator, address, resident),
         ),
     )
+
+
+def decode_word(
+    simulator, loaded: LoadedWord, resident: ResidentProgram, address: int
+) -> ExecutionPlan:
+    """Lower one loaded control-store word into a scalar execution plan."""
+    return build_plan(ScalarSteps(simulator), loaded, resident, address)

@@ -28,10 +28,13 @@ Mechanics (a NET-style trace JIT):
   ``while True`` loop whose body is the whole recorded path with
   register reads lowered to direct dict access, the phase commit
   discipline unrolled statically, and flags assigned last-writer-
-  wins.  Semantics mirror :class:`~repro.sim.decode.ExecutionPlan`
-  exactly — including the cases that stay dynamic there (banked
-  windows, generic ``evaluate`` ops) — so parity with the decoded
-  engine is structural, not incidental.
+  wins.  The inlined ALU orders are rendered from the same op table
+  (:mod:`repro.sim.ops`) the decoded plans are built from, with the
+  same inlining predicate (:func:`repro.sim.decode.inline_spec`), and
+  sequencing comes from the same
+  :func:`~repro.sim.decode.terminator_metadata` — so parity with the
+  decoded engine, including the cases that stay dynamic there (banked
+  windows, generic ``evaluate`` ops), is structural, not incidental.
 * **Guards** — every recorded branch direction, multiway target and
   return address is checked; a mismatch side-exits with the exact
   architectural state the decoded engine would have at that point
@@ -79,16 +82,19 @@ from repro.mir.operands import Reg
 from repro.obs.events import PH_INSTANT, TRACK_SIM, Event
 from repro.sim.decode import (
     _COND_TESTS,
-    _decode_terminator,
+    ScalarSteps,
     _dest_slot,
+    inline_spec,
+    sequencer,
     terminator_metadata,
 )
+from repro.sim.ops import inline
 from repro.sim.semantics import condition_holds, evaluate
 
 #: Bump when the generated-source layout changes incompatibly, so a
 #: stale disk tier from an older checkout can never resurrect code
 #: with different semantics.
-TRACE_FORMAT = 1
+TRACE_FORMAT = 2
 
 #: XOR mask stitched into every inlined ALU result when nonzero.
 #: This is the difftest harness's planted-bug hook (`--self-check`):
@@ -103,12 +109,6 @@ DEFAULT_HOT_THRESHOLD = 8
 #: this (typically an outer loop swallowing an inner one) are
 #: blacklisted — their inner loops trace on their own.
 DEFAULT_MAX_TRACE_LEN = 64
-
-_LOGIC_SYMBOLS = {"and": "&", "or": "|", "xor": "^"}
-#: Ops the stitcher inlines when the destination is a plain writable
-#: register — the same predicate :func:`repro.sim.decode._decode_op`
-#: uses for its step specializations.
-_ALU_OPS = ("add", "sub", "inc", "dec", "and", "or", "xor")
 
 
 class TraceUnsupported(Exception):
@@ -213,7 +213,7 @@ class _Emitter:
 
 def _src_expr(files, operand) -> str:
     """The read expression for one source operand — the codegen twin
-    of :func:`repro.sim.decode._src_reader`: immediates become
+    of :meth:`repro.sim.decode.ScalarSteps.reader`: immediates become
     literals, plain registers direct dict lookups, banked windows and
     unknown names stay dynamic through ``read_reg``."""
     if not isinstance(operand, Reg):
@@ -228,28 +228,6 @@ def _planted(expr: str) -> str:
     if PLANT_RESULT_XOR:
         return f"(({expr}) ^ {PLANT_RESULT_XOR})"
     return expr
-
-
-def _op_mode(files, op) -> str:
-    """``skip`` | ``static`` | ``generic`` — with the same inlining
-    predicate as ``_decode_op`` (ALU inlines only commit to plain
-    writable registers; everything trickier stays on the dynamic
-    ``evaluate`` path so error behaviour matches)."""
-    name = op.op
-    if name in ("nop", "poll"):
-        return "skip"
-    if name in ("read", "write", "ldscr", "stscr", "cmp"):
-        return "static"
-    if name == "setblk":
-        if files.bank_pointer is None:
-            raise TraceUnsupported("setblk on unbanked machine")
-        return "static"
-    if name in ("mov", "movi") or name in _ALU_OPS:
-        if op.dest is not None:
-            mask = _dest_slot(files, op.dest.name)[1]
-            if mask is not None:
-                return "static"
-    return "generic"
 
 
 class _Stitcher:
@@ -337,37 +315,39 @@ class _Stitcher:
         em.emit(f"_k = {k}")
         em.emit(f"# {address:04d}: {text}")
         for group in loaded.instruction.phase_groups(self.machine):
-            modes = [_op_mode(self.files, placed.op) for placed in group]
+            # poll is a no-op here: a trace is only entered with no
+            # interrupt pending, and nothing inside one can raise it.
             live = [
-                placed for placed, mode in zip(group, modes)
-                if mode != "skip"
+                placed for placed in group
+                if placed.op.op not in ("nop", "poll")
             ]
-            if not live:
-                continue
-            if "generic" in modes:
-                self._emit_phase_dynamic(live)
-            else:
-                self._emit_phase_static(live)
+            if live:
+                self._emit_phase(live)
         self._emit_terminator(k, loaded.instruction.terminator,
                               address, successor)
 
-    # -- static phase: temps at step time, unrolled commits ------------
-    def _emit_phase_static(self, steps) -> None:
+    # -- one phase: temps at step time, unrolled commits ---------------
+    def _emit_phase(self, steps) -> None:
+        """Emit one phase the way the plan runs it: every op reads into
+        temporaries at step time, then the commit discipline unrolled —
+        register writes in step order, then memory actions, then flag
+        writes (last writer wins)."""
         em = self.em
-        word_mask = self.machine.mask()
-        sign_shift = self.machine.word_size - 1
-        reg_commits: list[tuple[str, int | None, str, bool]] = []
+        files = self.files
+        machine = self.machine
+        reg_commits: list[tuple[str, int | None, str]] = []
         mem_commits: list[str] = []
-        flag_exprs: dict[str, str] = {}
+        flag_commits: list[str] = []
         for placed in steps:
             op = placed.op
             name = op.op
-            srcs = [_src_expr(self.files, s) for s in op.srcs]
-            if name == "read":
-                target, mask = _dest_slot(self.files, op.dest.name)
+            srcs = [_src_expr(files, s) for s in op.srcs]
+            spec = inline_spec(files, op)
+            if name in ("read", "ldscr"):
                 t = self._tmp()
-                em.emit(f"{t} = memory.read({srcs[0]})")
-                reg_commits.append((target, mask, t, False))
+                store = "memory" if name == "read" else "scratch"
+                em.emit(f"{t} = {store}.read({srcs[0]})")
+                reg_commits.append((*_dest_slot(files, op.dest.name), t))
             elif name == "write":
                 ta, td = self._tmp(), self._tmp()
                 em.emit(f"{ta} = {srcs[0]}")
@@ -379,201 +359,61 @@ class _Stitcher:
                 em.emit(f"memory.write({ta}, {td})")
                 em.dedent()
                 mem_commits.append(f"memory.write({ta}, {td})")
-            elif name == "ldscr":
-                target, mask = _dest_slot(self.files, op.dest.name)
-                t = self._tmp()
-                em.emit(f"{t} = scratch.read({srcs[0]})")
-                reg_commits.append((target, mask, t, False))
             elif name == "stscr":
                 tv, ta = self._tmp(), self._tmp()
                 em.emit(f"{tv} = {srcs[0]}")
                 em.emit(f"{ta} = {srcs[1]}")
                 mem_commits.append(f"scratch.write({ta}, {tv})")
             elif name == "setblk":
-                target, mask = _dest_slot(
-                    self.files, self.files.bank_pointer
-                )
+                if files.bank_pointer is None:
+                    raise TraceUnsupported("setblk on unbanked machine")
                 t = self._tmp()
                 em.emit(f"{t} = {srcs[0]}")
-                reg_commits.append((target, mask, t, False))
-            elif name in ("mov", "movi"):
-                target, mask = _dest_slot(self.files, op.dest.name)
+                reg_commits.append(
+                    (*_dest_slot(files, files.bank_pointer), t)
+                )
+            elif spec is not None:
+                total, value = self._tmp(), self._tmp()
+                statements, flags = inline(
+                    name, srcs, str(machine.mask()),
+                    str(machine.word_size - 1), total, value,
+                )
+                for line in statements:
+                    em.emit(line)
+                if spec.writes:
+                    if spec.flags:
+                        value = _planted(value)
+                    reg_commits.append(
+                        (*_dest_slot(files, op.dest.name), value)
+                    )
+                flag_commits.extend(
+                    f"flags[{flag!r}] = {expr}" for flag, expr in flags
+                )
+            else:
+                # Generic evaluate fallback — the interpreter's exact
+                # argument set, pre-bound at stitch time.  Its value is
+                # never None: evaluate returns none only for cmp, which
+                # the table inlines.
                 t = self._tmp()
-                em.emit(f"{t} = ({srcs[0]}) & {word_mask}")
-                reg_commits.append((target, mask, t, False))
-            elif name in ("add", "sub", "inc", "dec", "cmp"):
-                t1, t2 = self._tmp(), self._tmp()
-                if name == "add":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"(({srcs[1]}) & {word_mask})")
-                elif name in ("sub", "cmp"):
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"((({srcs[1]}) ^ {word_mask}) & {word_mask})"
-                            f" + 1")
-                elif name == "inc":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + 1")
-                else:  # dec
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"{word_mask}")
-                em.emit(f"{t2} = {t1} & {word_mask}")
-                if name != "cmp":
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    reg_commits.append((target, mask, t2, True))
-                flag_exprs["Z"] = f"1 if {t2} == 0 else 0"
-                flag_exprs["N"] = f"({t2} >> {sign_shift}) & 1"
-                flag_exprs["C"] = f"1 if {t1} > {word_mask} else 0"
-            else:  # and / or / xor
-                sym = _LOGIC_SYMBOLS[name]
-                target, mask = _dest_slot(self.files, op.dest.name)
-                t = self._tmp()
-                em.emit(f"{t} = (({srcs[0]}) & {word_mask}) {sym} "
-                        f"(({srcs[1]}) & {word_mask})")
-                reg_commits.append((target, mask, t, True))
-                flag_exprs["Z"] = f"1 if {t} == 0 else 0"
-                flag_exprs["N"] = f"({t} >> {sign_shift}) & 1"
-        # Commit discipline, unrolled: register writes in step order,
-        # then memory actions, then last-writer-wins flag stores.
-        for target, mask, tmp, alu in reg_commits:
-            value = _planted(tmp) if alu else tmp
+                dest_old = (
+                    _src_expr(files, op.dest) if op.dest is not None
+                    else "0"
+                )
+                em.emit(f"{t} = evaluate({name!r}, [{', '.join(srcs)}], "
+                        f"{machine.word_size}, dest_old={dest_old}, "
+                        f"carry_in=flags.get('C', 0))")
+                if op.dest is not None:
+                    reg_commits.append(
+                        (*_dest_slot(files, op.dest.name), f"{t}.value")
+                    )
+                flag_commits.append(f"flags.update({t}.flags)")
+        for target, mask, value in reg_commits:
             if mask is None:
                 em.emit(f"state.write_reg({target!r}, {value})")
             else:
                 em.emit(f"regs[{target!r}] = {value} & {mask}")
-        for line in mem_commits:
+        for line in mem_commits + flag_commits:
             em.emit(line)
-        for flag, expr in flag_exprs.items():
-            em.emit(f"flags[{flag!r}] = {expr}")
-
-    # -- dynamic phase: the plan's commit lists, generated inline ------
-    def _emit_phase_dynamic(self, steps) -> None:
-        em = self.em
-        word_mask = self.machine.mask()
-        sign_shift = self.machine.word_size - 1
-        width = self.machine.word_size
-        em.emit("_rw = []")
-        em.emit("_fw = {}")
-        em.emit("_mo = []")
-        for placed in steps:
-            op = placed.op
-            name = op.op
-            srcs = [_src_expr(self.files, s) for s in op.srcs]
-            if name == "read":
-                target, mask = _dest_slot(self.files, op.dest.name)
-                em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                        f"memory.read({srcs[0]})))")
-            elif name == "write":
-                ta, td = self._tmp(), self._tmp()
-                em.emit(f"{ta} = {srcs[0]}")
-                em.emit(f"{td} = {srcs[1]}")
-                em.emit(f"_mo.append(({ta}, {td}, 0))")
-                em.emit(f"if not memory.is_mapped({ta}):")
-                em.indent()
-                em.emit(f"memory.write({ta}, {td})")
-                em.dedent()
-            elif name == "ldscr":
-                target, mask = _dest_slot(self.files, op.dest.name)
-                em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                        f"scratch.read({srcs[0]})))")
-            elif name == "stscr":
-                tv, ta = self._tmp(), self._tmp()
-                em.emit(f"{tv} = {srcs[0]}")
-                em.emit(f"{ta} = {srcs[1]}")
-                em.emit(f"_mo.append(({ta}, {tv}, 1))")
-            elif name == "setblk":
-                target, mask = _dest_slot(
-                    self.files, self.files.bank_pointer
-                )
-                em.emit(f"_rw.append(({target!r}, {mask!r}, {srcs[0]}))")
-            elif _op_mode(self.files, op) == "static":
-                # Inline-able ALU/mov/cmp inside a mixed phase: same
-                # value expressions, commits appended plan-style.
-                t1, t2 = self._tmp(), self._tmp()
-                if name in ("mov", "movi"):
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    em.emit(f"{t2} = ({srcs[0]}) & {word_mask}")
-                    em.emit(f"_rw.append(({target!r}, {mask!r}, {t2}))")
-                    continue
-                if name == "add":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"(({srcs[1]}) & {word_mask})")
-                elif name in ("sub", "cmp"):
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"((({srcs[1]}) ^ {word_mask}) & {word_mask})"
-                            f" + 1")
-                elif name == "inc":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + 1")
-                elif name == "dec":
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) + "
-                            f"{word_mask}")
-                else:  # and / or / xor
-                    sym = _LOGIC_SYMBOLS[name]
-                    em.emit(f"{t1} = (({srcs[0]}) & {word_mask}) {sym} "
-                            f"(({srcs[1]}) & {word_mask})")
-                if name in _LOGIC_SYMBOLS:
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                            f"{_planted(t1)}))")
-                    em.emit(f"_fw['Z'] = 1 if {t1} == 0 else 0")
-                    em.emit(f"_fw['N'] = ({t1} >> {sign_shift}) & 1")
-                else:
-                    em.emit(f"{t2} = {t1} & {word_mask}")
-                    if name != "cmp":
-                        target, mask = _dest_slot(
-                            self.files, op.dest.name
-                        )
-                        em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                                f"{_planted(t2)}))")
-                    em.emit(f"_fw['Z'] = 1 if {t2} == 0 else 0")
-                    em.emit(f"_fw['N'] = ({t2} >> {sign_shift}) & 1")
-                    em.emit(f"_fw['C'] = 1 if {t1} > {word_mask} else 0")
-            else:
-                # Generic evaluate fallback — the interpreter's exact
-                # argument set, pre-bound at stitch time.
-                tr = self._tmp()
-                dest_old = (
-                    _src_expr(self.files, op.dest)
-                    if op.dest is not None else "0"
-                )
-                em.emit(f"{tr} = evaluate({name!r}, [{', '.join(srcs)}], "
-                        f"{width}, dest_old={dest_old}, "
-                        f"carry_in=flags.get('C', 0))")
-                if op.dest is not None:
-                    target, mask = _dest_slot(self.files, op.dest.name)
-                    em.emit(f"if {tr}.value is not None:")
-                    em.indent()
-                    em.emit(f"_rw.append(({target!r}, {mask!r}, "
-                            f"{tr}.value))")
-                    em.dedent()
-                em.emit(f"if {tr}.flags:")
-                em.indent()
-                em.emit(f"_fw.update({tr}.flags)")
-                em.dedent()
-        em.emit("for _ct, _cm, _cv in _rw:")
-        em.indent()
-        em.emit("if _cm is None:")
-        em.indent()
-        em.emit("state.write_reg(_ct, _cv)")
-        em.dedent()
-        em.emit("else:")
-        em.indent()
-        em.emit("regs[_ct] = _cv & _cm")
-        em.dedent()
-        em.dedent()
-        em.emit("for _ca, _cb, _cs in _mo:")
-        em.indent()
-        em.emit("if _cs:")
-        em.indent()
-        em.emit("scratch.write(_ca, _cb)")
-        em.dedent()
-        em.emit("else:")
-        em.indent()
-        em.emit("memory.write(_ca, _cb)")
-        em.dedent()
-        em.dedent()
-        em.emit("if _fw:")
-        em.indent()
-        em.emit("flags.update(_fw)")
-        em.dedent()
 
     # -- sequencing guards ---------------------------------------------
     def _emit_exit(self, k: int, reason: str, upc: int | str | None
@@ -603,10 +443,6 @@ class _Stitcher:
         if kind == "branch":
             cond = meta["cond"]
             taken, not_taken = meta["taken"], meta["not_taken"]
-            if cond == "TRUE":
-                if taken != successor:
-                    raise TraceUnsupported("recorded successor mismatch")
-                return
             test = _COND_TESTS.get(cond)
             if test is not None and taken == not_taken:
                 if taken != successor:
@@ -663,6 +499,7 @@ def build_namespace(simulator, resident: ResidentProgram,
     pre-decoded sequencer closure per multiway element (rebuilt from
     live words, which is what makes disk-tier sources reloadable)."""
     machine = simulator.machine
+    steps = ScalarSteps(simulator)
     pre = 0
     pres, addrs = [], []
     ns = {
@@ -676,9 +513,9 @@ def build_namespace(simulator, resident: ResidentProgram,
         pre += loaded.instruction.cached_cycles(machine)
         terminator = loaded.instruction.terminator
         if isinstance(terminator, Multiway):
-            ns[f"_seq{k}"] = _decode_terminator(
-                simulator, terminator, address, resident
-            )
+            ns[f"_seq{k}"] = sequencer(steps, terminator_metadata(
+                terminator, address, resident
+            ))
     ns["_PRE"] = tuple(pres)
     ns["_ADDR"] = tuple(addrs)
     return ns

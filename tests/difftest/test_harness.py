@@ -6,6 +6,7 @@ import pytest
 
 from repro.difftest import run_difftest, self_check
 from repro.obs.tracer import Tracer
+from repro.sim.ops import planted
 
 
 class TestRunDifftest:
@@ -67,17 +68,11 @@ class TestSelfCheck:
 
     def test_divergences_reach_the_corpus_dir(self, tmp_path):
         """A divergent campaign writes self-contained reproducers."""
-        import repro.sim.decode as decode
-
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
-        try:
+        with planted("xor", "(a & M) ^ (b & M) ^ 1"):
             report = run_difftest(
                 seed=0, budget=2, size=6, axes=("engine",),
                 corpus_dir=tmp_path, reduce=False,
             )
-        finally:
-            decode._LOGIC["xor"] = pristine
         assert not report.clean
         files = sorted(tmp_path.glob("div-*.json"))
         assert len(files) == len(report.divergences)
@@ -87,16 +82,10 @@ class TestSelfCheck:
         assert "--seed" in payload["repro"]
 
     def test_divergence_events_are_traced(self):
-        import repro.sim.decode as decode
-
         tracer = Tracer()
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
-        try:
+        with planted("xor", "(a & M) ^ (b & M) ^ 1"):
             run_difftest(seed=0, budget=1, size=6, axes=("engine",),
                          reduce=False, tracer=tracer)
-        finally:
-            decode._LOGIC["xor"] = pristine
         names = [e.name for e in tracer.events]
         assert "difftest.divergence" in names
 

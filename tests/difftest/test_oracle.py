@@ -5,6 +5,7 @@ import pytest
 from repro.difftest import Observation, generate_case, run_axis
 from repro.difftest.oracle import AXES, diff_observations, observe
 from repro.registry import build_machine
+from repro.sim.ops import planted
 
 
 class TestObservation:
@@ -81,15 +82,9 @@ class TestAxes:
         assert run_axis("shards", case) is None
 
     def test_engine_axis_sees_planted_semantic_bug(self):
-        import repro.sim.decode as decode
-
         case = generate_case("yalll", build_machine("HM1"), 4)
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
-        try:
+        with planted("xor", "(a & M) ^ (b & M) ^ 1"):
             divergence = run_axis("engine", case)
-        finally:
-            decode._LOGIC["xor"] = pristine
         assert divergence is not None
         assert divergence.axis == "engine"
         assert any("registers" in m or "exit_value" in m
@@ -136,14 +131,8 @@ class TestAxes:
         assert run_axis("batched", caught, batch=4) is None
 
     def test_planted_bug_does_not_fool_interpretive_pair(self):
-        """The plant only reroutes the decoded engine: the restart
+        """The plant only reroutes the fast engines: the restart
         axis (interpretive on both sides) must stay clean under it."""
-        import repro.sim.decode as decode
-
         case = generate_case("yalll", build_machine("HM1"), 4)
-        pristine = decode._LOGIC["xor"]
-        decode._LOGIC["xor"] = lambda a, b: (a ^ b) ^ 1
-        try:
+        with planted("xor", "(a & M) ^ (b & M) ^ 1"):
             assert run_axis("restart", case) is None
-        finally:
-            decode._LOGIC["xor"] = pristine
