@@ -276,7 +276,7 @@ def cmd_campaign(args) -> int:
             n=args.n, seed=args.seed, restart_safe=args.restart_safe,
             registers=registers, memory=memory, tracer=tracer,
             jobs=args.jobs, engine=args.engine, cache=cache,
-            collect_metrics=args.metrics, batch=args.batch,
+            collect_metrics=args.metrics,
         )
         for name in (args.machine or ["HM1"])
     ]
@@ -615,10 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("interpretive", "decoded", "traced"),
         default="decoded",
         help="simulator execution engine for golden and fault runs")
-    campaign_parser.add_argument(
-        "--batch", type=int, default=1, metavar="N",
-        help="group N scenarios per lockstep dispatch; reports stay "
-             "byte-identical to --batch 1 (default 1)")
     campaign_parser.add_argument(
         "--cache-dir", metavar="DIR",
         help="on-disk compile cache shared across invocations")

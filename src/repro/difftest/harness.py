@@ -285,12 +285,15 @@ def self_check(
     value is XORed at every batched register commit) and runs a
     ``batched``-axis campaign — lanes that peel to the scalar engine
     are immune by construction, so a detection here proves the axis
-    really compares the lockstep data path, not just the peel path.
+    really compares the lockstep data path, not just the peel path;
+    where admission refuses lockstep outright (no numpy) the phase
+    fails naming that refusal rather than reporting a miss.
     Raises ``AssertionError`` otherwise.  Also reachable as ``python
     -m repro difftest --self-check``.
     """
     import repro.sim.batch as batch_mod
     import repro.sim.trace as trace
+    from repro.sim.admission import LOCKSTEP, fast_path_refusal
     from repro.sim.ops import planted
 
     # Small fixed-size programs: the plant is reachable from any case
@@ -366,6 +369,12 @@ def self_check(
     # the same cut, which keeps non-planted comparisons clean.
     import repro.difftest.oracle as oracle_mod
 
+    refusal = fast_path_refusal(LOCKSTEP, lanes=4)
+    if refusal is not None:
+        raise AssertionError(
+            f"self-check: the batch-lane plant cannot run — lockstep "
+            f"admission refuses every batch (reason {refusal!r})"
+        )
     batch_mod.PLANT_LANE_XOR = 1
     saved_max_cycles = oracle_mod.MAX_CYCLES
     oracle_mod.MAX_CYCLES = 50_000

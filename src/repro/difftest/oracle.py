@@ -247,7 +247,6 @@ def observe_batch(
     *,
     lanes: int = DEFAULT_LANES,
     paging: bool = False,
-    backend: str = "auto",
 ) -> list[Observation]:
     """One observation per lane of a lockstep batch of the case.
 
@@ -266,7 +265,7 @@ def observe_batch(
             [BatchCase(memory=dict(case.memory)) for _ in range(lanes)],
             batch=lanes, paging=paging,
             trap_service=_paging_service if paging else None,
-            max_cycles=MAX_CYCLES, backend=backend,
+            max_cycles=MAX_CYCLES,
         )
     except Exception as error:
         return [Observation(error=f"{type(error).__name__}: {error}")] * lanes

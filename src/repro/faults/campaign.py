@@ -46,7 +46,6 @@ from repro.faults.plan import FaultPlan, FaultSpace, FaultSpec
 from repro.obs.aggregate import CampaignMetrics
 from repro.obs.timeline import TraceRecorder
 from repro.obs.tracer import NULL_TRACER
-from repro.sim.batch import batch_refusal
 from repro.sim.simulator import Simulator
 
 #: All outcome classes, in reporting order.
@@ -303,7 +302,6 @@ def run_campaign_loaded(
     tracer=NULL_TRACER,
     jobs: int = 1,
     engine: str = "decoded",
-    batch: int = 1,
     compile_each=None,
     collect_metrics: bool = False,
     deadline_s: float | None = None,
@@ -322,17 +320,10 @@ def run_campaign_loaded(
 
     ``engine`` selects the simulator execution engine for golden and
     scenario runs alike (see :class:`repro.sim.simulator.Simulator`);
-    both engines classify identically — decoded is just faster.
-
-    ``batch`` groups scenarios into candidate lockstep batches for
-    :mod:`repro.sim.batch`.  Every group is offered to batched
-    admission (:func:`~repro.sim.batch.batch_refusal`) — and every
-    group is refused, because scenario runs carry fault injectors,
-    which need per-microinstruction visibility.  Each lane therefore
-    peels to the scalar engine at admission, which is why ``--batch
-    N`` campaign reports are byte-identical to ``--batch 1`` at every
-    batch size; the batched driver's throughput win lands on clean
-    homogeneous sweeps (difftest lanes, benchmark workloads).
+    every engine classifies identically.  Scenario runs carry fault
+    injectors, which :mod:`repro.sim.admission` bars from every fast
+    path, so they run the per-microinstruction loop; only the golden
+    run can take the trace JIT or the address-keyed plan lookup.
 
     ``compile_each`` (internal, used by :func:`run_campaign` when a
     compile cache is supplied) is called once per serial scenario and
@@ -398,7 +389,7 @@ def run_campaign_loaded(
         campaign.outcomes, shard_metrics = _run_scenarios_parallel(
             indexed, machine, loaded, golden,
             registers=registers, memory=memory, mapping=mapping,
-            watchdog=watchdog, jobs=jobs, engine=engine, batch=batch,
+            watchdog=watchdog, jobs=jobs, engine=engine,
             collect_metrics=collect_metrics, deadline_s=deadline_s,
         )
         if metrics is not None:
@@ -406,46 +397,20 @@ def run_campaign_loaded(
                 [metrics, *shard_metrics]
             )
         return campaign
-    for group in _batched_groups(
-        indexed, machine, engine=engine, batch=batch, deadline_s=deadline_s,
-    ):
-        for index, fault_spec in group:
-            scenario_loaded = (
-                compile_each() if compile_each is not None else loaded
+    for index, fault_spec in indexed:
+        scenario_loaded = (
+            compile_each() if compile_each is not None else loaded
+        )
+        campaign.outcomes.append(
+            _run_scenario(
+                index, fault_spec, machine, scenario_loaded, golden,
+                registers=registers, memory=memory, mapping=mapping,
+                watchdog=watchdog, tracer=tracer, engine=engine,
+                metrics=metrics, deadline_s=deadline_s,
             )
-            campaign.outcomes.append(
-                _run_scenario(
-                    index, fault_spec, machine, scenario_loaded, golden,
-                    registers=registers, memory=memory, mapping=mapping,
-                    watchdog=watchdog, tracer=tracer, engine=engine,
-                    metrics=metrics, deadline_s=deadline_s,
-                )
-            )
+        )
     campaign.metrics = metrics
     return campaign
-
-
-def _batched_groups(
-    indexed, machine, *, engine, batch, deadline_s,
-):
-    """Chunk scenarios into candidate lockstep batches.
-
-    Every group is offered to batched admission; scenario runs carry
-    fault injectors, so :func:`~repro.sim.batch.batch_refusal` always
-    refuses (reason ``"injector"``) and every lane takes the scalar
-    path.  The consult is real — if injector-transparent batching ever
-    lands, this is the seam where it engages — and the refusal is what
-    guarantees ``--batch N`` report byte-identity today.
-    """
-    size = max(1, batch)
-    for start in range(0, len(indexed), size):
-        group = indexed[start:start + size]
-        if batch > 1:
-            batch_refusal(
-                machine, lanes=len(group), engine=engine,
-                injector=True, deadline_s=deadline_s,
-            )
-        yield group
 
 
 def _shard_worker(args) -> tuple:
@@ -460,7 +425,7 @@ def _shard_worker(args) -> tuple:
     to the run that died.
     """
     (shard, machine, loaded, golden, registers, memory, mapping,
-     watchdog, engine, batch, collect_metrics, deadline_s) = args
+     watchdog, engine, collect_metrics, deadline_s) = args
     metrics = CampaignMetrics() if collect_metrics else None
     outcomes = [
         _run_scenario(
@@ -469,11 +434,7 @@ def _shard_worker(args) -> tuple:
             watchdog=watchdog, tracer=NULL_TRACER, engine=engine,
             metrics=metrics, deadline_s=deadline_s,
         )
-        for group in _batched_groups(
-            shard, machine, engine=engine, batch=batch,
-            deadline_s=deadline_s,
-        )
-        for index, fault_spec in group
+        for index, fault_spec in shard
     ]
     return outcomes, metrics
 
@@ -488,7 +449,6 @@ def _shard_entry(conn, args) -> None:
 def _run_scenarios_parallel(
     indexed, machine, loaded, golden, *,
     registers, memory, mapping, watchdog, jobs, engine,
-    batch: int = 1,
     collect_metrics: bool = False,
     deadline_s: float | None = None,
     max_requeues: int = DEFAULT_SHARD_REQUEUES,
@@ -511,7 +471,7 @@ def _run_scenarios_parallel(
     shards = [indexed[offset::jobs] for offset in range(jobs)]
     tasks = [
         (shard, machine, loaded, golden, registers, memory, mapping,
-         watchdog, engine, batch, collect_metrics, deadline_s)
+         watchdog, engine, collect_metrics, deadline_s)
         for shard in shards
     ]
     ctx = multiprocessing.get_context()
@@ -685,7 +645,6 @@ def run_campaign(
     tracer=NULL_TRACER,
     jobs: int = 1,
     engine: str = "decoded",
-    batch: int = 1,
     cache=None,
     collect_metrics: bool = False,
     deadline_s: float | None = None,
@@ -747,7 +706,7 @@ def run_campaign(
         mapping=result.allocation.mapping,
         restart_hazards=result.restart_hazards,
         cycle_factor=cycle_factor, tracer=tracer,
-        jobs=jobs, engine=engine, batch=batch,
+        jobs=jobs, engine=engine,
         compile_each=compile_each,
         collect_metrics=collect_metrics, deadline_s=deadline_s,
     )
@@ -768,7 +727,6 @@ def run_matrix(
     tracer=NULL_TRACER,
     jobs: int = 1,
     engine: str = "decoded",
-    batch: int = 1,
     cache=None,
     collect_metrics: bool = False,
 ) -> list[CampaignResult]:
@@ -790,7 +748,7 @@ def run_matrix(
                     sources[lang], lang, machine,
                     n=n, seed=seed, restart_safe=restart_safe,
                     registers=registers, memory=memory, tracer=tracer,
-                    jobs=jobs, engine=engine, batch=batch, cache=cache,
+                    jobs=jobs, engine=engine, cache=cache,
                     collect_metrics=collect_metrics,
                 )
             )

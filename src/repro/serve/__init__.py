@@ -26,8 +26,8 @@ built robustness-first:
   gather (``batch_window_ms`` / ``batch_max_lanes``) and execute as
   one lockstep struct-of-arrays batch (:mod:`repro.sim.batch`) inside
   a single worker, with results demultiplexed back per request —
-  byte-identical to scalar execution, admission mirroring
-  ``batch_refusal``.
+  byte-identical to scalar execution, admitted by the simulator's
+  one fast-path rule (:mod:`repro.sim.admission`).
 * **Graceful drain** — ``SIGTERM`` stops admission, finishes
   in-flight work, then exits; ``/healthz`` and ``/metrics`` report
   queue depths, breaker states, worker restarts and the campaign
@@ -46,11 +46,11 @@ from repro.serve.config import ServeConfig
 from repro.serve.http import HttpError, Request, read_request, write_json
 from repro.serve.jobs import (
     batch_group_key,
-    batch_refused,
     dedup_key,
     execute_batch,
     execute_job,
     job_key,
+    lockstep_refusal,
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import PoolStats, WorkerPool
@@ -69,11 +69,11 @@ __all__ = [
     "ServiceRunner",
     "WorkerPool",
     "batch_group_key",
-    "batch_refused",
     "dedup_key",
     "execute_batch",
     "execute_job",
     "job_key",
+    "lockstep_refusal",
     "read_request",
     "write_json",
 ]

@@ -29,6 +29,7 @@ with ``enable_chaos`` (tests, CI smoke); production configs reject it.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import time
@@ -103,28 +104,37 @@ def dedup_key(job: dict) -> str:
 BATCH_LANE_FIELDS = ("set", "mem", "show")
 
 
-def batch_refused(job: dict) -> str | None:
+def lockstep_refusal(job: dict, *, lanes: int) -> str | None:
     """Why a job must run scalar in the pool — None when batchable.
 
-    The serve-side mirror of :func:`repro.sim.batch.batch_refusal`'s
-    admission discipline: anything that cannot share a lockstep lane
-    without changing its response runs scalar, so batched responses
-    stay byte-identical to serial execution.  An *explicit*
-    ``deadline_s`` refuses batching because the lockstep driver does
-    no per-lane wall-clock accounting — such a request keeps today's
-    precise in-simulator deadline semantics; default-deadline traffic
-    batches under the ``max_cycles`` budget with the supervisor's
-    deadline kill as the backstop.
+    Only ``run`` jobs batch, and a ``chaos`` hook belongs to its own
+    request; the rest is :func:`repro.sim.admission.fast_path_refusal`,
+    so serve refuses exactly what ``run_cases`` would.  Only an
+    *explicit* ``deadline_s`` counts as a deadline: default-deadline
+    traffic batches under ``max_cycles``, backstopped by the
+    supervisor's deadline kill.
     """
+    from repro.sim.admission import LOCKSTEP, fast_path_refusal
+
     if job.get("op") != "run":
         return "op"
     if job.get("chaos"):
         return "chaos"
-    if "deadline_s" in job:
-        return "deadline"
-    if job.get("engine", "decoded") != "decoded":
-        return f"engine={job.get('engine')}"
-    return None
+    return fast_path_refusal(
+        LOCKSTEP,
+        machine=_machine(job.get("machine", "HM1")),
+        lanes=lanes,
+        engine=job.get("engine", "decoded"),
+        deadline="deadline_s" in job,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _machine(name: str):
+    """One read-only machine description per name, for admission."""
+    from repro.registry import build_machine
+
+    return build_machine(name)
 
 
 def batch_group_key(job: dict) -> str:

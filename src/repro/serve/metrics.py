@@ -28,9 +28,9 @@ class ServiceMetrics:
     #: exceed ``accepted`` by exactly this count.
     dedup: dict[str, int] = field(default_factory=dict)
     statuses: dict[str, int] = field(default_factory=dict)
-    #: Runs that could not join a lockstep batch, by refusal reason
-    #: (explicit deadline, chaos hooks, non-decoded engine, …).
-    batch_refused: dict[str, int] = field(default_factory=dict)
+    #: Runs that could not join a lockstep batch, by reason code
+    #: (:mod:`repro.sim.admission`, plus serve's ``op``/``chaos``).
+    lockstep_refused: dict[str, int] = field(default_factory=dict)
     bad_requests: int = 0
     drained_rejects: int = 0
     #: Campaign responses whose rollup was folded service-wide — one
@@ -52,8 +52,8 @@ class ServiceMetrics:
     def record_dedup(self, job_class: str) -> None:
         self._bump(self.dedup, job_class)
 
-    def record_batch_refusal(self, reason: str) -> None:
-        self._bump(self.batch_refused, reason)
+    def record_lockstep_refusal(self, reason: str) -> None:
+        self._bump(self.lockstep_refused, reason)
 
     def record_outcome(self, job_class: str, status: str) -> None:
         self._bump(self.completed, job_class)
@@ -78,7 +78,7 @@ class ServiceMetrics:
             "shed": dict(sorted(self.shed.items())),
             "dedup": dict(sorted(self.dedup.items())),
             "statuses": dict(sorted(self.statuses.items())),
-            "batch_refused": dict(sorted(self.batch_refused.items())),
+            "batch_refused": dict(sorted(self.lockstep_refused.items())),
             "bad_requests": self.bad_requests,
             "drained_rejects": self.drained_rejects,
             "campaign_folds": self.campaign_folds,
@@ -117,10 +117,10 @@ class ServiceMetrics:
         _prom_series(name, {"kind": "lanes"},
                      pool_stats.get("batch_lanes", 0), out=lines)
         _prom_series(name, {"kind": "refused"},
-                     sum(self.batch_refused.values()), out=lines)
+                     sum(self.lockstep_refused.values()), out=lines)
         name = family("batch_refused_total", "counter",
                       "Runs refused a lockstep lane, by reason")
-        for reason, count in sorted(self.batch_refused.items()):
+        for reason, count in sorted(self.lockstep_refused.items()):
             _prom_series(name, {"reason": reason}, count, out=lines)
         name = family("outcomes_total", "counter",
                       "Terminal response statuses")

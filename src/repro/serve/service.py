@@ -31,11 +31,11 @@ gathers queued runs sharing a batch group key (same program, machine,
 engine and options — only ``set``/``mem``/``show`` may differ) for up
 to ``batch_window_ms`` and dispatches them as one lockstep
 struct-of-arrays execution of up to ``batch_max_lanes`` lanes
-(:mod:`repro.sim.batch`).  Admission mirrors ``batch_refusal``:
-anything that cannot share a lane without observable divergence —
-chaos hooks, non-decoded engines, an *explicit* client deadline —
-runs scalar, so per-request responses stay byte-identical to serial
-execution.  Refusals count into the ``serve.batch`` metrics family.
+(:mod:`repro.sim.batch`).  Admission is
+:func:`~repro.serve.jobs.lockstep_refusal`: anything that cannot
+share a lane without observable divergence runs scalar, so
+per-request responses stay byte-identical to serial execution.
+Refusals count into the ``serve.batch`` metrics family by reason.
 
 Deadlines are end-to-end: the request's budget is stamped at
 admission, spent by queueing, enforced inside the worker by
@@ -66,9 +66,9 @@ from repro.serve.http import (
 )
 from repro.serve.jobs import (
     batch_group_key,
-    batch_refused,
     dedup_key,
     job_key,
+    lockstep_refusal,
 )
 from repro.serve.metrics import ServiceMetrics
 from repro.serve.pool import WorkerPool
@@ -284,12 +284,14 @@ class ReproService:
         self.metrics.record_accept(job_class)
         self._active[job_class] += 1
         batch_key = None
-        if job_class == "run" and self.config.batch_max_lanes > 1:
-            refusal = batch_refused(job)
+        if job_class == "run":
+            refusal = lockstep_refusal(
+                job, lanes=self.config.batch_max_lanes
+            )
             if refusal is None:
                 batch_key = batch_group_key(job)
             else:
-                self.metrics.record_batch_refusal(refusal)
+                self.metrics.record_lockstep_refusal(refusal)
         task = asyncio.ensure_future(asyncio.wrap_future(
             self.pool.submit(job, key=job_key(job), deadline_s=deadline_s,
                              batch_key=batch_key)

@@ -1,12 +1,7 @@
 """Microarchitecture simulator (survey substrate S7)."""
 
-from repro.sim.batch import (
-    BatchCase,
-    BatchedState,
-    LaneOutcome,
-    batch_refusal,
-    run_cases,
-)
+from repro.sim.admission import fast_path_refusal
+from repro.sim.batch import BatchCase, BatchedState, LaneOutcome, run_cases
 from repro.sim.memory import MainMemory, Scratchpad
 from repro.sim.semantics import STATEFUL_OPS, condition_holds, evaluate
 from repro.sim.simulator import RunResult, Simulator
@@ -26,8 +21,8 @@ __all__ = [
     "StateBackend",
     "TraceJIT",
     "TraceStats",
-    "batch_refusal",
     "condition_holds",
     "evaluate",
+    "fast_path_refusal",
     "run_cases",
 ]

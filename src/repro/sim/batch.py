@@ -5,11 +5,11 @@ case*; a million-case campaign is a million interpreter loops.  This
 module holds N independent cases as **struct-of-arrays** — every
 register and flag becomes a lane vector — and drives them in lockstep
 through the decoded engine's execution plans: one step closure per
-placed op per microinstruction, each operating on whole lane vectors
-(numpy when available, a pure-Python list vector otherwise), so the
-Python-level dispatch cost is amortised across the batch.  This is
-the structural move that makes VADL-style generated simulators fast,
-applied to the pre-decoded engine of :mod:`repro.sim.decode`: the
+placed op per microinstruction, each operating on whole numpy lane
+vectors, so the Python-level dispatch cost is amortised across the
+batch.  This is the structural move that makes VADL-style generated
+simulators fast, applied to the pre-decoded engine of
+:mod:`repro.sim.decode`: the
 plans are built by the same lowering, from the same op table
 (:mod:`repro.sim.ops`), through a lane-vector decode backend
 (:class:`_LaneSteps`).  What stays here is the lockstep part — the
@@ -33,15 +33,12 @@ run by construction.  Batch-wide events (budget exhaustion, a shared
 stack overflow, an unsupported word) peel every live lane the same
 way.
 
-**Admission.**  Batching only engages for clean homogeneous work:
-a fault injector, a profile recorder, a trace sink, an interrupt
-source, a wall-clock deadline or a banked register file all refuse
-admission (:func:`batch_refusal`) and every lane runs scalar — the
-same disengage discipline as the trace JIT.  Fault-campaign scenario
-runs always carry injectors, so ``--batch N`` campaigns stay
-byte-identical to serial at every batch size; the batched win lands
-on clean sweeps (golden-style runs, difftest lanes, benchmark
-workloads).
+**Admission.**  Batching only engages when
+:func:`repro.sim.admission.fast_path_refusal` admits
+:data:`~repro.sim.admission.LOCKSTEP`: one lane, an engine other than
+decoded, a banked register file or a missing numpy each refuse it,
+and every lane then runs on the scalar engine, unpeeled.  Importing
+this module never needs numpy.
 
 ``PLANT_LANE_XOR`` is the self-check hook: when non-zero, every
 batched register commit XORs lane 0's value with it — a one-lane
@@ -50,13 +47,13 @@ batch-state corruption the difftest ``batched`` axis must catch.
 
 from __future__ import annotations
 
-import operator
 import weakref
 from dataclasses import dataclass, field
 
 from repro.asm.loader import ControlStore
 from repro.errors import MicroTrap, SimulationError
 from repro.mir.operands import Reg
+from repro.sim.admission import LOCKSTEP, fast_path_refusal
 from repro.sim.decode import ExecutionPlan, _dest_slot, build_plan
 from repro.sim.memory import MainMemory, Scratchpad
 from repro.sim.semantics import OpResult, evaluate
@@ -65,11 +62,11 @@ from repro.sim.state import MachineState
 
 try:
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via backend="python"
+except ImportError:  # pragma: no cover - the ``numpy`` refusal
     _np = None
 
-#: True when the numpy backend is importable; the pure-Python vector
-#: fallback keeps a stdlib-only install fully functional.
+#: True when numpy is importable; without it admission refuses
+#: lockstep (reason ``numpy``) and every lane runs scalar.
 HAVE_NUMPY = _np is not None
 
 #: Self-check plant: when non-zero, every batched register commit
@@ -81,114 +78,24 @@ DEFAULT_LANES = 64
 
 
 # ----------------------------------------------------------------------
-# Vector backends
+# Lane vectors
 # ----------------------------------------------------------------------
-class _PyVec(list):
-    """A list with elementwise operators: the pure-Python lane vector.
-
-    Implements exactly the operator surface the op table and the
-    batched sequencers use (`+ - & | ^ >> * == >`), each returning a
-    fresh ``_PyVec`` of ints (comparisons yield 0/1), so the same step
-    code drives numpy arrays and Python lists unchanged.
-    """
-
-    def _zip(self, other, fn):
-        if isinstance(other, list):
-            return _PyVec(fn(a, b) for a, b in zip(self, other))
-        return _PyVec(fn(a, other) for a in self)
-
-    def __add__(self, other):
-        return self._zip(other, operator.add)
-
-    def __radd__(self, other):
-        return self._zip(other, lambda a, b: b + a)
-
-    def __sub__(self, other):
-        return self._zip(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._zip(other, lambda a, b: b - a)
-
-    def __and__(self, other):
-        return self._zip(other, operator.and_)
-
-    def __or__(self, other):
-        return self._zip(other, operator.or_)
-
-    def __xor__(self, other):
-        return self._zip(other, operator.xor)
-
-    def __rshift__(self, other):
-        return self._zip(other, operator.rshift)
-
-    def __mul__(self, other):
-        return self._zip(other, operator.mul)
-
-    def __rmul__(self, other):
-        return self._zip(other, lambda a, b: b * a)
-
-    def __eq__(self, other):  # type: ignore[override]
-        return self._zip(other, lambda a, b: int(a == b))
-
-    def __ne__(self, other):  # type: ignore[override]
-        return self._zip(other, lambda a, b: int(a != b))
-
-    def __gt__(self, other):  # type: ignore[override]
-        return self._zip(other, lambda a, b: int(a > b))
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def any(self) -> bool:
-        return any(v for v in list.__iter__(self))
-
-    def all(self) -> bool:
-        return all(v for v in list.__iter__(self))
+def _full(n: int, value: int):
+    return _np.full(n, value, dtype=_np.int64)
 
 
-class _NumpyOps:
-    """Vector constructors for the numpy backend."""
-
-    name = "numpy"
-
-    def full(self, n: int, value: int):
-        return _np.full(n, value, dtype=_np.int64)
-
-    def vector(self, values):
-        return _np.array(values, dtype=_np.int64)
-
-
-class _PythonOps:
-    """Vector constructors for the pure-Python backend."""
-
-    name = "python"
-
-    def full(self, n: int, value: int):
-        return _PyVec([value] * n)
-
-    def vector(self, values):
-        return _PyVec(values)
+def _vector(values):
+    return _np.array(values, dtype=_np.int64)
 
 
 def resolve_backend(backend: str = "auto") -> str:
-    """``"numpy"`` or ``"python"`` — never raises on a missing numpy.
-
-    ``"auto"`` prefers numpy when importable; asking for ``"numpy"``
-    without it installed quietly selects the pure-Python fallback so a
-    stdlib-only install keeps working (the ``[batch]`` extra in
-    ``pyproject.toml`` installs the fast path).
-    """
-    if backend == "python":
-        return "python"
-    if backend in ("auto", "numpy"):
-        return "numpy" if HAVE_NUMPY else "python"
-    raise SimulationError(
-        f"unknown batch backend {backend!r} "
-        f"(expected 'auto', 'numpy' or 'python')"
-    )
-
-
-def _ops(backend: str):
-    return _NumpyOps() if resolve_backend(backend) == "numpy" else _PythonOps()
+    """``"numpy"``, or ``"scalar"`` when numpy is missing and every
+    lane runs on the scalar engine (the ``numpy`` refusal)."""
+    if backend != "auto":
+        raise SimulationError(
+            f"unknown batch backend {backend!r} (expected 'auto')"
+        )
+    return "numpy" if HAVE_NUMPY else "scalar"
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +109,7 @@ class BatchCase:
     memory: dict[int, int] = field(default_factory=dict)
 
 
+@dataclass(slots=True)
 class LaneOutcome:
     """One case's final state, whether it completed batched or peeled.
 
@@ -214,19 +122,14 @@ class LaneOutcome:
     unserviced traps); ``result`` is then ``None``.
     """
 
-    __slots__ = ("machine", "result", "error", "registers", "flags",
-                 "scratchpad", "memory", "peeled")
-
-    def __init__(self, machine, *, result, error, registers, flags,
-                 scratchpad, memory, peeled):
-        self.machine = machine
-        self.result: RunResult | None = result
-        self.error: BaseException | None = error
-        self.registers: dict[str, int] = registers
-        self.flags: dict[str, int] = flags
-        self.scratchpad = scratchpad
-        self.memory = memory
-        self.peeled: bool = peeled
+    machine: object
+    result: RunResult | None
+    error: BaseException | None
+    registers: dict[str, int]
+    flags: dict[str, int]
+    scratchpad: object
+    memory: object
+    peeled: bool
 
     def read_reg(self, name: str) -> int:
         files = self.machine.registers
@@ -260,9 +163,9 @@ class _DenseLaneView:
 class _DenseMemory:
     """All lanes' main memory as one (lanes, size) numpy array.
 
-    Only used on the numpy backend with paging disabled — the regime
-    where no memory touch can trap, so reads and writes are single
-    fancy-indexing operations across the batch.
+    Only used with paging disabled — the regime where no memory touch
+    can trap, so reads and writes are single fancy-indexing operations
+    across the batch.
     """
 
     __slots__ = ("state", "words", "rows", "size")
@@ -330,7 +233,7 @@ class _LaneMemories:
                 values[lane] = self.memories[lane].read(int(addrs[lane]))
             except (MicroTrap, SimulationError):
                 state.peel(lane, self.reason)
-        return state.ops.vector(values)
+        return _vector(values)
 
     def write(self, addrs, values) -> None:
         for lane in self.state.live_lanes():
@@ -379,23 +282,22 @@ class BatchedState:
     which lanes are still following the batch leader.
     """
 
-    def __init__(self, machine, n: int, ops, *, paging: bool = False):
+    def __init__(self, machine, n: int, *, paging: bool = False):
         self.machine = machine
         self.n = n
-        self.ops = ops
         self.registers = {
-            register.name: ops.full(n, register.reset)
+            register.name: _full(n, register.reset)
             for register in machine.registers
         }
-        self.flags = {flag: ops.full(n, 0) for flag in machine.flags}
+        self.flags = {flag: _full(n, 0) for flag in machine.flags}
         self.live = [True] * n
-        self.live_vec = ops.full(n, 1)
+        self.live_vec = _full(n, 1)
         self.peeled: dict[int, str] = {}
         # The stores call back into the state to peel lanes.  A weak
         # reference keeps that from forming a cycle, which would hold
         # each finished batch's memory until the cyclic collector ran.
         lanes = weakref.proxy(self)
-        if ops.name == "numpy" and not paging:
+        if not paging:
             self.memory = _DenseMemory(lanes)
         else:
             self.memory = _LaneMemories(lanes, [
@@ -445,7 +347,7 @@ class BatchedState:
 
     def poke_constant(self, name: str, value: int) -> None:
         register = self.machine.registers[name]
-        self.registers[name] = self.ops.full(self.n, value & register.mask)
+        self.registers[name] = _full(self.n, value & register.mask)
 
     def write_reg(self, name: str, value) -> None:
         """Commit a lane vector to a plain register, applying
@@ -509,7 +411,7 @@ class _LaneSteps:
         immutable — every consumer derives fresh vectors through
         operators); registers become direct slot lookups."""
         if not isinstance(operand, Reg):
-            constant = self.state.ops.full(self.state.n, operand.value)
+            constant = _full(self.state.n, operand.value)
             return lambda b: constant
         name = operand.name
         if self.files.is_window(name) or name not in self.files.registers:
@@ -580,8 +482,8 @@ class _LaneSteps:
             for flag, value in result.flags.items():
                 flag_cols.setdefault(flag, [0] * b.n)[lane] = value
         return OpResult(
-            b.ops.vector(values) if wrote_value else None,
-            {flag: b.ops.vector(col) for flag, col in flag_cols.items()},
+            _vector(values) if wrote_value else None,
+            {flag: _vector(col) for flag, col in flag_cols.items()},
         )
 
     def branch(self, flag, expected, taken, not_taken):
@@ -607,59 +509,16 @@ class _LaneSteps:
                         break
                 else:
                     targets[lane] = default
-            b.settle(b.ops.vector(targets), "multiway")
+            b.settle(_vector(targets), "multiway")
 
         return seq_multiway
-
-
-# ----------------------------------------------------------------------
-# Admission
-# ----------------------------------------------------------------------
-def batch_refusal(
-    machine,
-    *,
-    lanes: int,
-    engine: str = "decoded",
-    injector: bool = False,
-    recorder: bool = False,
-    trace: bool = False,
-    interrupt_every: int | None = None,
-    deadline_s: float | None = None,
-) -> str | None:
-    """Why a batch must run scalar — None when lockstep may engage.
-
-    Mirrors the trace JIT's disengage discipline: anything that needs
-    per-microinstruction visibility (an injector substituting words, a
-    profile recorder, a trace sink, an interrupt source) or per-lane
-    wall-clock accounting refuses batching, as does a banked register
-    file (bank pointers are per-lane dynamic state the lockstep
-    decoder does not model).
-    """
-    if lanes <= 1:
-        return "batch=1"
-    if engine != "decoded":
-        return f"engine={engine}"
-    if injector:
-        return "injector"
-    if recorder:
-        return "recorder"
-    if trace:
-        return "trace"
-    if interrupt_every:
-        return "interrupt_every"
-    if deadline_s is not None:
-        return "deadline"
-    files = machine.registers
-    if files.windows or files.bank_pointer:
-        return "banked-windows"
-    return None
 
 
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
 def _run_lockstep(
-    machine, loaded, cases, *, ops, paging, max_cycles,
+    machine, loaded, cases, *, paging, max_cycles,
 ) -> list[LaneOutcome | None]:
     """Drive one homogeneous chunk in lockstep.
 
@@ -670,7 +529,7 @@ def _run_lockstep(
     store = ControlStore(machine)
     resident = store.load(loaded)
     n = len(cases)
-    b = BatchedState(machine, n, ops, paging=paging)
+    b = BatchedState(machine, n, paging=paging)
     for lane, case in enumerate(cases):
         # A lane whose initial pokes are invalid (unknown register,
         # windowed name, out-of-range load) peels to the scalar path,
@@ -757,18 +616,16 @@ def _run_lockstep(
 
 
 def _run_scalar(
-    machine, loaded, case, *, engine, paging, trap_service,
-    interrupt_handler, max_cycles, peeled,
+    machine, loaded, case, *, engine, paging, trap_service, max_cycles,
+    peeled,
 ) -> LaneOutcome:
     """One case on the scalar engine — the peel-off (and batch=1) path."""
     store = ControlStore(machine)
     store.load(loaded)
     memory = MainMemory(paging_enabled=paging)
     state = MachineState(machine, memory=memory)
-    simulator = Simulator(
-        machine, store, state=state, engine=engine,
-        trap_service=trap_service, interrupt_handler=interrupt_handler,
-    )
+    simulator = Simulator(machine, store, state=state, engine=engine,
+                          trap_service=trap_service)
     result = None
     error = None
     try:
@@ -803,28 +660,28 @@ def run_cases(
     engine: str = "decoded",
     paging: bool = False,
     trap_service=None,
-    interrupt_handler=None,
     max_cycles: int = 1_000_000,
-    backend: str = "auto",
 ) -> list[LaneOutcome]:
     """Run homogeneous cases through the lockstep driver, batch-wise.
 
     Cases are chunked into batches of ``batch`` lanes; lanes that peel
-    (or a refused admission — see :func:`batch_refusal`) replay on the
-    scalar decoded engine, and results merge back **in case order**.
-    ``batch=1`` is exactly today's scalar behaviour.  Exceptions a
-    lane's run raises are captured per lane in
-    :attr:`LaneOutcome.error`, never propagated, so a batch with one
-    runaway lane still reports the other N-1.
+    replay on the scalar decoded engine, and results merge back **in
+    case order**.  When admission refuses lockstep
+    (:func:`repro.sim.admission.fast_path_refusal`) every case runs on
+    the scalar ``engine``, unpeeled; ``batch=1`` is exactly today's
+    scalar behaviour.  Exceptions a lane's run raises are captured per
+    lane in :attr:`LaneOutcome.error`, never propagated, so a batch
+    with one runaway lane still reports the other N-1.
     """
-    reason = batch_refusal(machine, lanes=batch, engine=engine)
+    reason = fast_path_refusal(
+        LOCKSTEP, machine=machine, lanes=batch, engine=engine,
+    )
     outcomes: list[LaneOutcome | None] = [None] * len(cases)
     if reason is None:
-        ops = _ops(backend)
         for start in range(0, len(cases), batch):
             chunk = list(cases[start:start + batch])
             for offset, lane in enumerate(_run_lockstep(
-                machine, loaded, chunk, ops=ops, paging=paging,
+                machine, loaded, chunk, paging=paging,
                 max_cycles=max_cycles,
             )):
                 outcomes[start + offset] = lane
@@ -832,8 +689,7 @@ def run_cases(
         if outcomes[index] is None:
             outcomes[index] = _run_scalar(
                 machine, loaded, case, engine=engine, paging=paging,
-                trap_service=trap_service,
-                interrupt_handler=interrupt_handler,
-                max_cycles=max_cycles, peeled=reason is None,
+                trap_service=trap_service, max_cycles=max_cycles,
+                peeled=reason is None,
             )
     return outcomes

@@ -9,8 +9,9 @@ this table.  Each entry is Python expression text over the operands
 ``value`` the result ``v``, and ``flags`` the flag expressions, which
 may name ``t`` and ``v``.  Every expression is vector-safe —
 comparisons are written ``(x == 0) * 1`` — so one text runs on Python
-ints, numpy int64 lane vectors and the batched engine's pure-Python
-``_PyVec``.
+ints and on the batched engine's numpy int64 lane vectors.  Which
+engine runs for a given run is decided elsewhere, once
+(:mod:`repro.sim.admission`).
 
 :func:`inline` renders an entry as statements with the operands and
 constants substituted.  The trace stitcher writes them into its

@@ -39,6 +39,12 @@ from repro.mir.block import (
 from repro.mir.operands import Reg
 from repro.obs.events import PH_INSTANT, TRACK_SIM, Event
 from repro.obs.timeline import SimProfile, TraceRecorder
+from repro.sim.admission import (
+    ENGINES,
+    PLAN_LOOKUP,
+    TRACE_JIT,
+    fast_path_refusal,
+)
 from repro.sim.decode import PlanCache, decode_word
 from repro.sim.trace import TraceJIT
 from repro.sim.semantics import STATEFUL_OPS, condition_holds, evaluate
@@ -71,8 +77,7 @@ class RunResult:
     traced engine (``hits``/``misses``/``invalidations``/
     ``bailouts`` — dispatches that made progress, traces stitched,
     wholesale drops, guard bailouts) and is None otherwise.  All
-    zeros when the JIT stayed disengaged (fault injector, trace
-    sink or ``interrupt_every`` attached).
+    zeros when :mod:`repro.sim.admission` refused the JIT.
     """
 
     cycles: int
@@ -151,7 +156,7 @@ class Simulator:
     def __post_init__(self) -> None:
         if self.state is None:
             self.state = MachineState(self.machine)
-        if self.engine not in ("interpretive", "decoded", "traced"):
+        if self.engine not in ENGINES:
             raise SimulationError(
                 f"unknown engine {self.engine!r} "
                 f"(expected 'interpretive', 'decoded' or 'traced')"
@@ -206,27 +211,25 @@ class Simulator:
         plan_stats_before = None
         jit = None
         trace_stats_before = None
-        if self.engine == "traced":
-            # The JIT only engages when nothing needs per-MI
-            # visibility: an injector can substitute mutated words at
-            # fetch, the trace sink wants every executed line, and
-            # interrupt_every must observe every cycle crossing.  With
-            # any of them attached the traced engine degrades to the
-            # exact decoded path.
+        # Which fast paths this run may take: repro.sim.admission.
+        shape = dict(
+            engine=self.engine,
+            injector=injector is not None,
+            trace=self.trace is not None,
+            recorder=recorder is not None,
+            interrupt_every=bool(self.interrupt_every),
+            deadline=deadline is not None,
+        )
+        if self.engine == "traced" and self._trace_jit is not None:
             # Snapshot before begin_run: a store swap detected there
             # invalidates on behalf of *this* run, so the drop belongs
             # in this run's trace_cache delta.
-            if self._trace_jit is not None:
-                trace_stats_before = self._trace_jit.stats.snapshot()
-            if (
-                injector is None
-                and self.trace is None
-                and not self.interrupt_every
-            ):
-                if self._trace_jit is None:
-                    self._trace_jit = TraceJIT(self)
-                jit = self._trace_jit
-                jit.begin_run(resident)
+            trace_stats_before = self._trace_jit.stats.snapshot()
+        if fast_path_refusal(TRACE_JIT, **shape) is None:
+            if self._trace_jit is None:
+                self._trace_jit = TraceJIT(self)
+            jit = self._trace_jit
+            jit.begin_run(resident)
         if decoded:
             if self._plan_cache is None:
                 self._plan_cache = PlanCache()
@@ -234,11 +237,7 @@ class Simulator:
             plan_stats_before = (
                 plans.stats.decodes, plans.stats.invalidations,
             )
-            # With no injector, trace sink, or recorder attached the
-            # fetched word cannot differ from the stored one and nobody
-            # needs to see it, so plans are reachable directly by
-            # address — the hot loop skips the control-store fetch.
-            if injector is None and self.trace is None and recorder is None:
+            if fast_path_refusal(PLAN_LOOKUP, **shape) is None:
                 fast_plans = plans.addr_plans(resident)
         if recorder is not None:
             recorder.begin_run(program_name, self.machine.name, state.cycles)
@@ -445,8 +444,7 @@ class Simulator:
         progress, ``misses`` are traces stitched (compiles),
         ``invalidations`` wholesale drops, ``bailouts`` guard exits
         that abandoned a loop body mid-iteration.  All zeros when the
-        JIT never engaged (injector, trace sink or ``interrupt_every``
-        attached).
+        JIT never engaged (see :mod:`repro.sim.admission`).
         """
         jit = self._trace_jit
         if jit is None:

@@ -44,12 +44,13 @@ Mechanics (a NET-style trace JIT):
   ``max_traps`` accounting observe nothing unusual.  A cycle-budget
   guard refuses any iteration that could overrun ``max_cycles``,
   keeping the run loop's limit error byte-identical.
-* **Invalidation** — the JIT only engages when no fault injector is
-  attached (an injector can substitute mutated control-store words
-  at fetch, so the traced engine then degrades to the plain decoded
-  path, plans and all); :meth:`TraceJIT.invalidate` additionally
-  drops every trace — ``PlanCache.invalidate``-style — and is fired
-  automatically when the simulator's control store changes identity.
+* **Invalidation** — the JIT never runs beside a fault injector
+  (:mod:`repro.sim.admission`: an injector can substitute mutated
+  control-store words at fetch, so the traced engine then degrades to
+  the plain decoded path, plans and all); :meth:`TraceJIT.invalidate`
+  additionally drops every trace — ``PlanCache.invalidate``-style —
+  and is fired automatically when the simulator's control store
+  changes identity.
 * **Disk tier** — optionally (``Simulator.trace_dir=``), stitched
   sources persist content-addressed like :mod:`repro.cache`'s
   compile cache — SHA-256 over the machine fingerprint and every
@@ -58,10 +59,11 @@ Mechanics (a NET-style trace JIT):
   later process skips codegen (never compilation: host code objects
   are not portable artifacts).
 
-Not traced (exact decoded fallback): runs with a fault injector, a
-text trace sink, or periodic interrupt generation
-(``interrupt_every``) — all three need per-MI visibility.  A
-:class:`~repro.obs.timeline.TraceRecorder` *is* supported: trace-
+Not traced (exact decoded fallback): any run
+:func:`repro.sim.admission.fast_path_refusal` refuses
+:data:`~repro.sim.admission.TRACE_JIT` — a fault injector, a text
+trace sink or periodic interrupt generation.
+A :class:`~repro.obs.timeline.TraceRecorder` *is* supported: trace-
 executed MIs are replayed into it afterwards with exact cycle
 stamps, so profiles and difftest observations match the decoded
 engine bit for bit.
@@ -539,8 +541,7 @@ class TraceJIT:
     """Per-simulator trace store: detection, recording, dispatch.
 
     Owned lazily by :class:`~repro.sim.simulator.Simulator` when
-    ``engine="traced"`` and no per-MI hook (injector, trace sink,
-    ``interrupt_every``) forbids skipping ahead.
+    :func:`repro.sim.admission.fast_path_refusal` admits the run.
     """
 
     def __init__(self, simulator) -> None:

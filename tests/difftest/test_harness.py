@@ -4,9 +4,15 @@ import json
 
 import pytest
 
+import repro.sim.batch as batch
 from repro.difftest import run_difftest, self_check
 from repro.obs.tracer import Tracer
 from repro.sim.ops import planted
+
+#: The self-check's third plant needs lanes running in lockstep.
+needs_lockstep = pytest.mark.skipif(
+    not batch.HAVE_NUMPY, reason="numpy missing: admission refuses lockstep"
+)
 
 
 class TestRunDifftest:
@@ -58,6 +64,7 @@ class TestRunDifftest:
 
 
 class TestSelfCheck:
+    @needs_lockstep
     def test_planted_bug_found_and_shrunk(self, tmp_path):
         report = self_check(seed=0, budget=3, size=8)
         assert report.divergences
@@ -65,6 +72,13 @@ class TestSelfCheck:
         assert first.axis == "engine"
         assert first.reduced_source
         assert len(first.reduced_source) <= len(first.case.source)
+
+    def test_missing_numpy_fails_naming_the_refusal(self, monkeypatch):
+        """The batch-lane plant cannot run without lockstep; the
+        self-check must say so, not report the plant as missed."""
+        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
+        with pytest.raises(AssertionError, match="reason 'numpy'"):
+            self_check(seed=0, budget=3, size=8)
 
     def test_divergences_reach_the_corpus_dir(self, tmp_path):
         """A divergent campaign writes self-contained reproducers."""
@@ -112,6 +126,7 @@ class TestCLI:
         payload = json.loads(capsys.readouterr().out)
         assert payload["cases_run"] == 2
 
+    @needs_lockstep
     def test_difftest_verb_self_check(self, capsys):
         from repro.cli import main
 

@@ -5,6 +5,7 @@ import pytest
 from repro.difftest import Observation, generate_case, run_axis
 from repro.difftest.oracle import AXES, diff_observations, observe
 from repro.registry import build_machine
+from repro.sim.batch import HAVE_NUMPY
 from repro.sim.ops import planted
 
 
@@ -104,6 +105,8 @@ class TestAxes:
             assert seen.cycles == scalar.cycles
             assert seen.registers == scalar.registers
 
+    @pytest.mark.skipif(not HAVE_NUMPY,
+                        reason="numpy missing: admission refuses lockstep")
     def test_batched_axis_sees_planted_lane_corruption(self):
         import repro.sim.batch as batch
 

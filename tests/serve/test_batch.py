@@ -14,21 +14,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batch as batch
 from repro.obs.tracer import Tracer
 from repro.serve import ServeConfig, ServiceRunner
 from repro.serve.backoff import BackoffPolicy, CircuitBreakers
 from repro.serve.jobs import (
     batch_group_key,
-    batch_refused,
     dedup_key,
     execute_job,
     job_key,
+    lockstep_refusal,
 )
 from repro.serve.pool import WorkerPool
 from tests.pipeline.golden_programs import YALLL_MUL
 from tests.serve.conftest import ADD_SRC
 
 FAST_BACKOFF = BackoffPolicy(base_s=0.01, cap_s=0.1, jitter=0.5, seed=7)
+
+#: For service tests that need admitted runs to reach lockstep.
+needs_numpy = pytest.mark.skipif(
+    not batch.HAVE_NUMPY, reason="numpy missing: admission refuses lockstep"
+)
 
 
 def mul_job(a: int, n: int = 3, **extra) -> dict:
@@ -57,7 +63,10 @@ def make_pool(tmp_path):
 
 
 def submit_batchable(pool, job, **kwargs):
-    assert batch_refused(job) is None
+    # The pool gathers whatever carries a batch key; without numpy the
+    # service would have refused the job before it got here.
+    refusal = lockstep_refusal(job, lanes=8)
+    assert refusal == (None if batch.HAVE_NUMPY else "numpy")
     return pool.submit(
         job, key=job_key(job), batch_key=batch_group_key(job), **kwargs
     )
@@ -209,6 +218,7 @@ class TestServiceBatching:
         with ThreadPoolExecutor(max_workers=count) as pool:
             return list(pool.map(post, range(count)))
 
+    @needs_numpy
     def test_flood_batches_and_matches_scalar_bytes(self, tmp_path):
         batched_config = ServeConfig(
             workers=2, batch_window_ms=150.0, batch_max_lanes=8,
@@ -247,6 +257,7 @@ class TestServiceBatching:
         assert health["requests"]["batch_refused"].get("deadline") == 1
         assert health["pool"]["batch_lanes"] == 0
 
+    @needs_numpy
     def test_metrics_expose_batch_family(self, tmp_path):
         config = ServeConfig(
             workers=2, batch_window_ms=150.0, batch_max_lanes=8,
@@ -261,6 +272,29 @@ class TestServiceBatching:
         assert 'repro_serve_batch_total{kind="refused"} 1' in document
         assert ('repro_serve_batch_refused_total{reason="deadline"} 1'
                 in document)
+
+    def test_missing_numpy_refuses_at_admission(self, tmp_path,
+                                                monkeypatch):
+        """Without numpy no run may wait out the gather window for a
+        batch ``run_cases`` would refuse: admission refuses it first."""
+        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
+        config = ServeConfig(
+            workers=1, batch_window_ms=150.0, batch_max_lanes=8,
+            cache_dir=str(tmp_path / "cache"),
+        )
+        with ServiceRunner(config) as runner:
+            responses = self._flood(runner, 6, n=5)
+            _, health = runner.request("GET", "/healthz")
+            _, document = runner.request("GET", "/metrics")
+        assert all(status == 200 for status, _ in responses)
+        assert [body["result"]["exit_value"] for _, body in responses] == [
+            5 * a for a in range(6)
+        ]
+        assert health["requests"]["batch_refused"] == {"numpy": 6}
+        assert ('repro_serve_batch_refused_total{reason="numpy"} 6'
+                in document)
+        assert health["pool"]["batch_flushes"] == 0
+        assert health["pool"]["batch_lanes"] == 0
 
 
 class TestDedupDeadlineSafety:

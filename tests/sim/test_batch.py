@@ -1,4 +1,4 @@
-"""Lockstep batched execution: parity, peel-off and admission.
+"""Lockstep batched execution: parity and peel-off.
 
 The golden rule mirrors the decoded engine's: for any homogeneous
 sweep, ``run_cases`` must be observably identical to running each
@@ -7,7 +7,8 @@ counters, every register and flag, memory contents, and even the
 error *text* a failing lane reports.  Divergence (a trap, a different
 branch direction, a datapath fault, budget exhaustion) peels the lane
 onto the scalar engine, so identity holds by construction; these
-tests pin that down on HM1 and CM1 for both vector backends.
+tests pin that down on HM1 and CM1.  Admission has its own table
+test in ``test_admission.py``.
 """
 
 import subprocess
@@ -20,7 +21,7 @@ from repro.asm import ControlStore
 from repro.faults.campaign import default_trap_service
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
-from repro.sim import BatchCase, Simulator, batch_refusal, run_cases
+from repro.sim import BatchCase, Simulator, run_cases
 from repro.sim.batch import HAVE_NUMPY, resolve_backend
 
 MUL_SRC = """
@@ -69,8 +70,9 @@ STRAIGHT_SRC = """
     exit a
 """
 
-BACKENDS = (
-    ("numpy", "python") if HAVE_NUMPY else ("python",)
+#: For tests that only mean something while lanes run in lockstep.
+needs_lockstep = pytest.mark.skipif(
+    not HAVE_NUMPY, reason="numpy missing: admission refuses lockstep"
 )
 
 
@@ -124,60 +126,51 @@ def assert_lane_matches(outcome, reference, *, mem_region=None):
 
 
 def sweep(machine, loaded, cases, *, batches=(1, 4, 64), paging=False,
-          trap_service=None, max_cycles=200_000, backends=BACKENDS,
-          mem_region=None):
-    """Every batch size and backend against the scalar oracle."""
+          trap_service=None, max_cycles=200_000, mem_region=None):
+    """Every batch size against the scalar oracle."""
     references = [
         scalar_reference(machine, loaded, case, paging=paging,
                          trap_service=trap_service, max_cycles=max_cycles)
         for case in cases
     ]
-    for backend in backends:
-        for size in batches:
-            outcomes = run_cases(
-                machine, loaded, cases, batch=size, paging=paging,
-                trap_service=trap_service, max_cycles=max_cycles,
-                backend=backend,
-            )
-            assert len(outcomes) == len(cases)
-            for outcome, reference in zip(outcomes, references):
-                assert_lane_matches(outcome, reference,
-                                    mem_region=mem_region)
+    for size in batches:
+        outcomes = run_cases(
+            machine, loaded, cases, batch=size, paging=paging,
+            trap_service=trap_service, max_cycles=max_cycles,
+        )
+        assert len(outcomes) == len(cases)
+        for outcome, reference in zip(outcomes, references):
+            assert_lane_matches(outcome, reference, mem_region=mem_region)
     return references
 
 
 class TestBackends:
     def test_resolve_backend_auto_prefers_numpy(self):
-        expected = "numpy" if HAVE_NUMPY else "python"
+        expected = "numpy" if HAVE_NUMPY else "scalar"
         assert resolve_backend("auto") == expected
-        assert resolve_backend("python") == "python"
 
     def test_unknown_backend_rejected(self):
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            resolve_backend("cuda")
-
-    def test_missing_numpy_selects_python(self, monkeypatch):
-        monkeypatch.setattr(batch, "HAVE_NUMPY", False)
-        assert batch.resolve_backend("auto") == "python"
-        # Asking for numpy without it quietly falls back too: a
-        # stdlib-only install must never crash over the fast path.
-        assert batch.resolve_backend("numpy") == "python"
+            resolve_backend("python")
 
     def test_import_without_numpy_is_clean(self, tmp_path):
-        """The module import survives an unimportable numpy."""
+        """The module import survives an unimportable numpy, and
+        admission then refuses lockstep with reason ``numpy``."""
         (tmp_path / "numpy.py").write_text("raise ImportError('absent')\n")
         src = str(batch.__file__).rsplit("/repro/", 1)[0]
         probe = subprocess.run(
             [sys.executable, "-c",
              "import repro.sim.batch as b;"
-             "print(b.HAVE_NUMPY, b.resolve_backend('auto'))"],
+             "from repro.sim.admission import LOCKSTEP, fast_path_refusal;"
+             "print(b.HAVE_NUMPY, b.resolve_backend(),"
+             " fast_path_refusal(LOCKSTEP, lanes=4))"],
             capture_output=True, text=True,
             env={"PYTHONPATH": f"{tmp_path}:{src}"},
         )
         assert probe.returncode == 0, probe.stderr
-        assert probe.stdout.split() == ["False", "python"]
+        assert probe.stdout.split() == ["False", "scalar", "numpy"]
 
 
 class TestLockstepParity:
@@ -208,6 +201,7 @@ class TestLockstepParity:
         outcomes = run_cases(machine, result.loaded, cases, batch=8)
         assert all(not o.peeled for o in outcomes)
 
+    @needs_lockstep
     @pytest.mark.parametrize("machine_name", ("HM1", "CM1"))
     def test_trap_divergence_peels(self, machine_name):
         """Pagefaulting lanes peel to the scalar engine + trap service."""
@@ -283,6 +277,7 @@ class TestLockstepParity:
         ]
 
 
+@needs_lockstep
 class TestPlantHook:
     def test_lane_zero_corruption_is_visible_and_contained(self):
         """PLANT_LANE_XOR flips only the leader's committed values; a
@@ -303,38 +298,3 @@ class TestPlantHook:
         # catch the corruption while lanes are still batched.
         clean = run_cases(machine, result.loaded, cases, batch=4)
         assert [o.result.exit_value for o in clean] == [5, 5, 5, 5]
-
-
-class TestAdmission:
-    def test_refusal_reasons(self):
-        machine = get_machine("HM1")
-        refuse = lambda **kw: batch_refusal(machine, **kw)
-        assert refuse(lanes=1) == "batch=1"
-        assert refuse(lanes=4, engine="traced") == "engine=traced"
-        assert refuse(lanes=4, injector=True) == "injector"
-        assert refuse(lanes=4, recorder=True) == "recorder"
-        assert refuse(lanes=4, trace=True) == "trace"
-        assert refuse(lanes=4, interrupt_every=7) == "interrupt_every"
-        assert refuse(lanes=4, deadline_s=1.0) == "deadline"
-        assert refuse(lanes=4) is None
-
-    def test_banked_windows_refused(self):
-        machine = get_machine("ID3200m")
-        assert batch_refusal(machine, lanes=4) == "banked-windows"
-
-    def test_refused_admission_runs_scalar_unpeeled(self):
-        """engine != decoded refuses lockstep; results still come from
-        the requested engine and are not marked as peels."""
-        machine = get_machine("HM1")
-        result = compiled(MUL_SRC, machine, name="mul")
-        mapping = result.allocation.mapping
-        cases = [
-            BatchCase(registers={mapping["a"]: 4, mapping["n"]: 3})
-            for _ in range(3)
-        ]
-        outcomes = run_cases(machine, result.loaded, cases, batch=3,
-                             engine="interpretive")
-        assert all(not o.peeled for o in outcomes)
-        assert [o.result.exit_value for o in outcomes] == [12, 12, 12]
-        # The interpretive engine never synthesises plan counters.
-        assert all(o.result.plan_cache is None for o in outcomes)

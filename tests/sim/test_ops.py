@@ -4,8 +4,8 @@ Every fast engine inlines the table in :mod:`repro.sim.ops`; the
 interpretive engine calls :func:`repro.sim.semantics.evaluate`.  These
 properties pin each table op to ``evaluate`` directly — result value
 and every flag — as the decoded closure on ints, the batched closure
-on numpy int64 lanes and on ``_PyVec``, and the stitcher's source
-text, at the word size of every registered machine.  Operands range
+on numpy int64 lanes, and the stitcher's source text, at the word
+size of every registered machine.  Operands range
 well outside the word, negative included, as immediates may.
 """
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.registry import build_machine, machine_names
-from repro.sim.batch import HAVE_NUMPY, _PyVec
+from repro.sim.batch import HAVE_NUMPY
 from repro.sim.ops import OPS, inline, step_factory
 from repro.sim.semantics import evaluate
 
@@ -83,13 +83,6 @@ def check_lanes(name, width, lanes, vector):
         want_value, want_flags = reference(name, a, b, width)
         assert (None if value is None else int(value[lane])) == want_value
         assert {f: int(v[lane]) for f, v in flags.items()} == want_flags
-
-
-@pytest.mark.parametrize("name", sorted(OPS))
-@settings(max_examples=50, deadline=None)
-@given(lanes=LANES)
-def test_pyvec_lanes_match_evaluate(name, width, lanes):
-    check_lanes(name, width, lanes, _PyVec)
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
