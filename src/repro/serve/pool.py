@@ -404,7 +404,13 @@ class WorkerPool:
             )
 
     def _next_wait_locked(self, now: float) -> float:
-        """Seconds until the earliest timer the supervisor must honor."""
+        """Seconds until the earliest timer the supervisor must honor.
+
+        Floored at 1 ms, well under the default 5 ms batch window, so
+        a due timer never busy-spins the supervisor and a gather
+        window, backoff or deadline fires on time rather than at the
+        floor.
+        """
         horizon = 0.5
         for ticket in self._pending:
             if ticket.not_before > now:
@@ -420,7 +426,7 @@ class WorkerPool:
                 if ticket.deadline is not None:
                     kill_at = ticket.deadline + self.kill_grace_s
                     horizon = min(horizon, max(0.0, kill_at - now))
-        return max(0.01, horizon)
+        return max(0.001, horizon)
 
     def _respawn_locked(self, worker: _Worker) -> None:
         index = self._workers.index(worker)

@@ -498,18 +498,17 @@ class _LaneSteps:
         return seq_branch
 
     def multiway(self, read_value, cases, default):
+        """Every lane's target at once: a lanes-by-arms match matrix
+        over the compiled ``(care, bits)`` arms, with the default
+        appended as an arm that matches anything, so the first hit in
+        each row is that lane's first-match target."""
+        care, bits, targets = (
+            _vector(column) for column in zip(*cases, (0, 0, default))
+        )
+
         def seq_multiway(b):
-            values = read_value(b)
-            targets = [0] * b.n
-            for lane in b.live_lanes():
-                value = int(values[lane])
-                for matches, target in cases:
-                    if matches(value):
-                        targets[lane] = target
-                        break
-                else:
-                    targets[lane] = default
-            b.settle(_vector(targets), "multiway")
+            hits = (read_value(b)[:, None] & care) == bits
+            b.settle(targets[hits.argmax(axis=1)], "multiway")
 
         return seq_multiway
 

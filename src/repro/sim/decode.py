@@ -65,7 +65,7 @@ from repro.mir.block import (
     Multiway,
     Ret,
 )
-from repro.mir.operands import Reg
+from repro.mir.operands import Imm, Reg
 from repro.sim.ops import OPS, Op, step_factory
 from repro.sim.semantics import condition_holds, evaluate
 from repro.sim.state import StateBackend
@@ -239,17 +239,27 @@ def _dest_slot(files, name: str) -> tuple[str, int | None]:
     return (name, register.mask)
 
 
-def inline_spec(files, op) -> Op | None:
+def inline_spec(files, op, width: int) -> Op | None:
     """The table entry ``op`` is inlined with, or None for ``evaluate``.
 
-    An op that writes a register is inlined only when the destination
-    is a plain writable register (direct slot commit); anything
-    trickier — windows, read-only, a missing dest — takes the generic
-    path so error behaviour stays identical to the interpreter.  Every
-    fast engine decides with this one predicate.
+    A shift (an entry marked ``count``) is inlined only when its count
+    is an immediate in 1..``width``: ``evaluate`` clamps and rejects
+    every other count.  An op that writes a register is inlined only
+    when the destination is a plain writable register (direct slot
+    commit); anything trickier — windows, read-only, a missing dest —
+    takes the generic path so error behaviour stays identical to the
+    interpreter.  Every fast engine decides with this one predicate.
     """
     spec = OPS.get(op.op)
-    if spec is None or not spec.writes:
+    if spec is None:
+        return None
+    if spec.count and not (
+        len(op.srcs) == 2
+        and isinstance(op.srcs[1], Imm)
+        and 1 <= op.srcs[1].value <= width
+    ):
+        return None
+    if not spec.writes:
         return spec
     if op.dest is None or _dest_slot(files, op.dest.name)[1] is None:
         return None
@@ -345,8 +355,8 @@ class ScalarSteps:
     def multiway(self, read_value, cases, default):
         def seq_multiway(state):
             value = read_value(state)
-            for matches, target in cases:
-                if matches(value):
+            for care, bits, target in cases:
+                if value & care == bits:
                     state.upc = target
                     return
             state.upc = default
@@ -377,7 +387,7 @@ def decode_op(steps, op) -> Step | None:
         return steps.setblk(readers[0])
 
     machine = steps.machine
-    spec = inline_spec(machine.registers, op)
+    spec = inline_spec(machine.registers, op, machine.word_size)
     if spec is not None:
         target, mask = steps.dest(op.dest.name) if spec.writes else ("", None)
         return step_factory(name)(
@@ -442,16 +452,25 @@ def _generic_step(evaluate, name, readers, commit, read_old, width) -> Step:
     return step
 
 
+def mask_bits(mask: str) -> tuple[int, int]:
+    """A multiway arm's mask as ``(care, bits)``: a value matches the
+    arm iff ``value & care == bits`` — :meth:`MaskCase.matches
+    <repro.mir.block.MaskCase.matches>`, compiled once."""
+    care = int(mask.replace("0", "1").replace("x", "0"), 2)
+    return care, int(mask.replace("x", "0"), 2)
+
+
 def terminator_metadata(
     terminator, address: int, resident: ResidentProgram
 ) -> dict:
     """Static sequencing facts about one word's terminator.
 
     The one description of sequencing: labels are resolved to absolute
-    control-store addresses here, and :func:`sequencer` (decoded and
-    batched plans) and the trace stitcher (:mod:`repro.sim.trace`)
-    build their sequencing from the result.  An unconditional branch
-    is reported as a jump.
+    control-store addresses here, multiway arms are compiled to
+    ``(care, bits, target)`` in first-match order (:func:`mask_bits`),
+    and :func:`sequencer` (decoded and batched plans) and the trace
+    stitcher (:mod:`repro.sim.trace`) build their sequencing from the
+    result.  An unconditional branch is reported as a jump.
     """
     base = resident.base
     labels = resident.program.labels
@@ -474,7 +493,7 @@ def terminator_metadata(
             "kind": "multiway",
             "reg": terminator.reg,
             "cases": tuple(
-                (case.matches, base + labels[case.target])
+                (*mask_bits(case.mask), base + labels[case.target])
                 for case in terminator.cases
             ),
             "default": base + labels[terminator.default],

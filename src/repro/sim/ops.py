@@ -5,9 +5,12 @@ every engine is checked against.  The fast engines (decoded, batched,
 traced) do not call it for the hot ALU orders; they inline them from
 this table.  Each entry is Python expression text over the operands
 ``a`` and ``b``, the word mask ``M`` and the sign shift ``S``:
-``total`` is the carry total ``t`` of the ops that produce a carry,
+``total`` is the intermediate ``t`` some flags need besides the result
+(the carry total, or a shift's value before its masking or last step),
 ``value`` the result ``v``, and ``flags`` the flag expressions, which
-may name ``t`` and ``v``.  Every expression is vector-safe —
+name only ``t`` and ``v`` — the stitcher evaluates them after the
+phase's register commits, when an operand register may already hold
+the result.  Every expression is vector-safe —
 comparisons are written ``(x == 0) * 1`` — so one text runs on Python
 ints and on the batched engine's numpy int64 lane vectors.  Which
 engine runs for a given run is decided elsewhere, once
@@ -19,9 +22,14 @@ generated source; :func:`step_factory` compiles them into the step
 closure the decoded and batched engines run, once per op, so their hot
 path executes the inlined expressions rather than a call per operator.
 
-Ops without an entry (shifts, ``ext``, ``dep``, ``mul``, ``adc``,
-``nand``, ``nor``, ``not``, ``neg``) call ``evaluate`` on every engine.
-``tests/sim/test_ops.py`` pins every entry to ``evaluate``.
+``shl`` and ``shr`` are entries marked ``count``: their ``b`` is a
+shift count, and :func:`repro.sim.decode.inline_spec` inlines them
+only for an immediate count in 1..W (the word size).  Any other count
+(a register, 0, past the word, negative) keeps ``evaluate``'s clamping
+and errors, as do the ops without an entry (``sar``, ``rol``, ``ror``,
+``ext``, ``dep``, ``mul``, ``adc``, ``nand``, ``nor``, ``not``,
+``neg``) on every engine.  ``tests/sim/test_ops.py`` pins every entry
+to ``evaluate``.
 """
 
 from __future__ import annotations
@@ -39,9 +47,12 @@ class Op:
     Attributes:
         arity: Source operands read: ``a``, or ``a`` and ``b``.
         value: The result ``v``.
-        total: The carry total ``t``; None when the op has no carry.
+        total: The intermediate ``t``; None when the flags need only
+            ``v``.
         flags: ``(flag, expression)`` pairs, in write order.
         writes: False for ops that only set flags (``cmp``).
+        count: True when ``b`` is a shift count, which the expressions
+            hold for only in 1..W.
     """
 
     arity: int
@@ -49,6 +60,7 @@ class Op:
     total: str | None = None
     flags: tuple[tuple[str, str], ...] = ()
     writes: bool = True
+    count: bool = False
 
 
 _ZN = (("Z", "(v == 0) * 1"), ("N", "(v >> S) & 1"))
@@ -68,6 +80,12 @@ OPS: dict[str, Op] = {
     "and": Op(2, "(a & M) & (b & M)", flags=_ZN),
     "or": Op(2, "(a & M) | (b & M)", flags=_ZN),
     "xor": Op(2, "(a & M) ^ (b & M)", flags=_ZN),
+    # UF is the last bit shifted out: bit W of the unmasked left shift,
+    # bit 0 of the right shift one step short.
+    "shl": Op(2, "t & M", "(a & M) << b",
+              (*_ZN, ("UF", "(t >> (S + 1)) & 1")), count=True),
+    "shr": Op(2, "t >> 1", "(a & M) >> (b - 1)",
+              (*_ZN, ("UF", "t & 1")), count=True),
 }
 
 _NAMES = re.compile(r"\b[abtvMS]\b")

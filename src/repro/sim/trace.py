@@ -344,7 +344,7 @@ class _Stitcher:
             op = placed.op
             name = op.op
             srcs = [_src_expr(files, s) for s in op.srcs]
-            spec = inline_spec(files, op)
+            spec = inline_spec(files, op, machine.word_size)
             if name in ("read", "ldscr"):
                 t = self._tmp()
                 store = "memory" if name == "read" else "scratch"

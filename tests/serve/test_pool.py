@@ -1,16 +1,21 @@
-"""WorkerPool crash detection, re-queueing, quarantine, deadlines.
+"""WorkerPool crash detection, re-queueing, quarantine, deadlines, and
+the supervisor's wait horizon.
 
 All chaos here is deterministic: workers SIGKILL themselves on listed
 dispatch attempts (or wedge with a sleep), so every assertion about
 crash counts, retry outcomes and breaker states is exact.
 """
 
+import os
+from concurrent.futures import Future
+
 import pytest
 
 from repro.serve.backoff import BackoffPolicy, CircuitBreakers
 from repro.serve.jobs import job_key
-from repro.serve.pool import WorkerPool
+from repro.serve.pool import WorkerPool, _Ticket
 from tests.serve.conftest import ADD_SRC
+from tests.serve.test_backoff import FakeClock
 
 FAST_BACKOFF = BackoffPolicy(base_s=0.01, cap_s=0.1, jitter=0.5, seed=7)
 
@@ -184,3 +189,37 @@ class TestDrain:
         pool.close(drain=False, timeout=10)
         statuses = {f.result(timeout=1)["status"] for f in futures}
         assert statuses == {"shutdown"}
+
+
+class TestWaitHorizon:
+    """The supervisor's sleep, on a fake clock (no worker starts)."""
+
+    @pytest.fixture
+    def pool(self):
+        clock = FakeClock()
+        clock.now = 100.0
+        pool = WorkerPool(1, batch_window_s=0.005, batch_max_lanes=8,
+                          clock=clock)
+        yield pool
+        os.close(pool._wake_r)
+        os.close(pool._wake_w)
+
+    def queue(self, pool, **fields):
+        pool._pending.append(_Ticket(
+            ticket_id=len(pool._pending), key="k", job={},
+            future=Future(), deadline=None, submitted=pool.clock(),
+            **fields,
+        ))
+
+    def test_lone_gatherable_ticket_waits_exactly_its_window(self, pool):
+        self.queue(pool, batch_key="group")
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.005)
+
+    def test_backoff_gate_fires_on_time(self, pool):
+        self.queue(pool, not_before=pool.clock() + 0.003)
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.003)
+
+    def test_due_timer_is_floored_at_one_millisecond(self, pool):
+        self.queue(pool, batch_key="group")
+        pool.clock.now += 0.0049
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.001)
