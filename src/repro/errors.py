@@ -70,10 +70,12 @@ class FaultPlanError(ReproError):
 class CampaignWorkerError(ReproError):
     """A campaign shard's worker process died and retries ran out.
 
-    Raised by the ``--jobs`` fan-out instead of hanging on the pool
+    Raised by the ``--jobs`` fan-out, which runs its shards on the
+    supervised :class:`repro.supervisor.WorkerPool`, instead of hanging
     (the historical ``multiprocessing.Pool`` failure mode) when a
-    shard's process is killed — segfault, OOM-kill, a ``kill:``
-    chaos injector — and re-running the shard keeps dying.
+    shard's worker is killed — segfault, OOM-kill, a ``kill:`` chaos
+    injector — and re-running the shard keeps dying: the pool's
+    ``crashed`` (or ``quarantined``) outcome, typed.
 
     Attributes:
         shard_index: Which shard could not be completed.

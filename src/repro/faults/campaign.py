@@ -32,6 +32,7 @@ that break it — empty for programs transformed by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from repro.asm.loader import ControlStore
@@ -208,6 +209,26 @@ class CampaignResult:
         return record
 
 
+@dataclass(frozen=True)
+class _ScenarioContext:
+    """What every scenario run of one campaign shares.
+
+    The ``--jobs`` workers inherit it at fork, bound into their
+    handler, so a shard ships only its ``(index, FaultSpec)`` list.
+    """
+
+    machine: object
+    loaded: object
+    golden: GoldenRun
+    registers: dict | None
+    memory: dict | None
+    mapping: dict
+    watchdog: int
+    engine: str
+    collect_metrics: bool
+    deadline_s: float | None
+
+
 # ----------------------------------------------------------------------
 def _fresh_simulator(
     machine, loaded, *, registers, memory, mapping, tracer,
@@ -311,12 +332,14 @@ def run_campaign_loaded(
     ``plan`` overrides seeded generation with explicit scenarios (the
     CLI's ``--fault`` path and regression tests use this).
 
-    ``jobs > 1`` shards the scenarios round-robin across a
-    ``multiprocessing`` pool.  Scenario indices are fixed before
-    sharding and results are merged back into index order, so the
-    resulting report is byte-identical to the serial run regardless of
-    completion order.  A recording tracer forces the serial path (its
-    event list cannot be meaningfully merged across processes).
+    ``jobs > 1`` shards the scenarios round-robin over ``jobs``
+    workers of the toolkit's one process supervisor,
+    :class:`repro.supervisor.WorkerPool`, which re-runs a shard whose
+    worker died.  Scenario indices are fixed before sharding and
+    results are merged back into index order, so the resulting report
+    is byte-identical to the serial run regardless of completion
+    order.  A recording tracer forces the serial path (its event list
+    cannot be meaningfully merged across processes).
 
     ``engine`` selects the simulator execution engine for golden and
     scenario runs alike (see :class:`repro.sim.simulator.Simulator`);
@@ -384,13 +407,14 @@ def run_campaign_loaded(
         golden=golden,
         restart_hazards=[str(h) for h in (restart_hazards or [])],
     )
+    context = _ScenarioContext(
+        machine, loaded, golden, registers, memory, mapping, watchdog,
+        engine, collect_metrics, deadline_s,
+    )
     indexed = list(enumerate(plan.specs))
     if jobs > 1 and len(indexed) > 1 and not tracer.enabled:
         campaign.outcomes, shard_metrics = _run_scenarios_parallel(
-            indexed, machine, loaded, golden,
-            registers=registers, memory=memory, mapping=mapping,
-            watchdog=watchdog, jobs=jobs, engine=engine,
-            collect_metrics=collect_metrics, deadline_s=deadline_s,
+            indexed, context, jobs=jobs
         )
         if metrics is not None:
             campaign.metrics = CampaignMetrics.merged(
@@ -401,202 +425,120 @@ def run_campaign_loaded(
         scenario_loaded = (
             compile_each() if compile_each is not None else loaded
         )
-        campaign.outcomes.append(
-            _run_scenario(
-                index, fault_spec, machine, scenario_loaded, golden,
-                registers=registers, memory=memory, mapping=mapping,
-                watchdog=watchdog, tracer=tracer, engine=engine,
-                metrics=metrics, deadline_s=deadline_s,
-            )
-        )
+        campaign.outcomes.append(_run_scenario(
+            context, index, fault_spec, loaded=scenario_loaded,
+            tracer=tracer, metrics=metrics,
+        ))
     campaign.metrics = metrics
     return campaign
 
 
-def _shard_worker(args) -> tuple:
-    """Top-level worker target: run one shard of scenarios.
+def _shard_worker(context: _ScenarioContext, shard) -> tuple:
+    """Run one shard of ``(index, FaultSpec)`` scenarios.
 
-    Receives everything by value (machines, programs and golden runs
-    all pickle); returns the shard's outcomes plus its local metrics
-    rollup (or ``None`` when metrics are off).  Classification uses no
-    randomness and no wall-clock quantities, so outcomes are identical
-    to what the serial loop would have produced for the same indices —
-    which is also why a *re-run* of a crashed shard is byte-identical
-    to the run that died.
+    Returns the shard's outcomes plus its local metrics rollup (or
+    ``None`` when metrics are off).  Classification uses no randomness
+    and no wall-clock quantities, so outcomes are identical to what
+    the serial loop would have produced for the same indices — which
+    is also why a *re-run* of a crashed shard is byte-identical to the
+    run that died.
     """
-    (shard, machine, loaded, golden, registers, memory, mapping,
-     watchdog, engine, collect_metrics, deadline_s) = args
-    metrics = CampaignMetrics() if collect_metrics else None
+    metrics = CampaignMetrics() if context.collect_metrics else None
     outcomes = [
-        _run_scenario(
-            index, fault_spec, machine, loaded, golden,
-            registers=registers, memory=memory, mapping=mapping,
-            watchdog=watchdog, tracer=NULL_TRACER, engine=engine,
-            metrics=metrics, deadline_s=deadline_s,
-        )
+        _run_scenario(context, index, fault_spec, metrics=metrics)
         for index, fault_spec in shard
     ]
     return outcomes, metrics
 
 
-def _shard_entry(conn, args) -> None:
-    """Process entry: run the shard, ship the result, exit."""
-    result = _shard_worker(args)
-    conn.send(result)
-    conn.close()
+def _shard_lanes(context: _ScenarioContext, lanes) -> list[tuple]:
+    """Worker handler: one ``(ticket_id, response)`` per shard sent."""
+    return [
+        (ticket_id, {"status": "ok",
+                     "result": _shard_worker(context, shard)})
+        for ticket_id, shard, _, _ in lanes
+    ]
 
 
 def _run_scenarios_parallel(
-    indexed, machine, loaded, golden, *,
-    registers, memory, mapping, watchdog, jobs, engine,
-    collect_metrics: bool = False,
-    deadline_s: float | None = None,
-    max_requeues: int = DEFAULT_SHARD_REQUEUES,
+    indexed, context: _ScenarioContext, *, jobs: int,
 ) -> tuple[list[ScenarioOutcome], list[CampaignMetrics]]:
-    """Shard scenarios over supervised processes, merge to index order.
+    """Shard scenarios over the supervised worker pool, merge to index order.
 
-    Unlike the ``multiprocessing.Pool.map`` this replaced, worker
-    death is an *observed event*: each shard runs in its own process
-    whose sentinel is multiplexed alongside its result pipe, so a
-    SIGKILLed worker (OOM, segfault, a ``kill:`` chaos injector) is
-    detected immediately, the shard is re-run up to ``max_requeues``
-    times, and persistent death surfaces as a typed
-    :class:`~repro.errors.CampaignWorkerError` naming the shard and
-    its re-queue count — never a hang on a result that cannot come.
+    Each shard is one job on :class:`repro.supervisor.WorkerPool`, so
+    worker death is an *observed event*: a SIGKILLed worker (OOM,
+    segfault, a ``kill:`` chaos injector) is detected, the shard is
+    re-run up to :data:`DEFAULT_SHARD_REQUEUES` times, and persistent
+    death surfaces as a typed :class:`~repro.errors.CampaignWorkerError`
+    naming the shard, its re-queue count and the worker's exit code —
+    never a hang on a result that cannot come.  The breaker threshold
+    sits above the retry budget, so the budget alone decides.
     """
-    import multiprocessing
-    from multiprocessing.connection import wait as mp_wait
+    from repro.supervisor import CircuitBreakers, WorkerPool
 
     jobs = min(jobs, len(indexed))
-    shards = [indexed[offset::jobs] for offset in range(jobs)]
-    tasks = [
-        (shard, machine, loaded, golden, registers, memory, mapping,
-         watchdog, engine, collect_metrics, deadline_s)
-        for shard in shards
-    ]
-    ctx = multiprocessing.get_context()
-    results: list[tuple | None] = [None] * len(shards)
-    requeues = [0] * len(shards)
-    running: dict[int, tuple] = {}
-
-    def spawn(shard_index: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_shard_entry, args=(child_conn, tasks[shard_index]),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        running[shard_index] = (process, parent_conn)
-
-    def reap(shard_index: int) -> int | None:
-        process, conn = running.pop(shard_index)
-        exitcode = process.exitcode
-        try:
-            conn.close()
-        except OSError:
-            pass
-        process.join(timeout=5)
-        return exitcode if exitcode is not None else process.exitcode
-
+    pool = WorkerPool(
+        jobs,
+        handler=functools.partial(_shard_lanes, context),
+        max_requeues=DEFAULT_SHARD_REQUEUES,
+        breakers=CircuitBreakers(strikes=DEFAULT_SHARD_REQUEUES + 2),
+    )
+    pool.start()
     try:
-        for shard_index in range(len(shards)):
-            spawn(shard_index)
-        while running:
-            conn_index = {
-                conn: i for i, (_, conn) in running.items()
-            }
-            sentinel_index = {
-                process.sentinel: i
-                for i, (process, _) in running.items()
-            }
-            ready = mp_wait([*conn_index, *sentinel_index])
-            done: set[int] = set()
-            crashed: set[int] = set()
-            for item in ready:
-                shard_index = conn_index.get(item)
-                if shard_index is not None:
-                    if shard_index in done or shard_index in crashed:
-                        continue
-                    try:
-                        results[shard_index] = item.recv()
-                        done.add(shard_index)
-                    except (EOFError, OSError):
-                        crashed.add(shard_index)
-                    continue
-                shard_index = sentinel_index[item]
-                if shard_index not in done:
-                    crashed.add(shard_index)
-            for shard_index in done:
-                reap(shard_index)
-                crashed.discard(shard_index)
-            for shard_index in crashed:
-                if shard_index not in running:
-                    continue
-                exitcode = reap(shard_index)
-                requeues[shard_index] += 1
-                if requeues[shard_index] > max_requeues:
-                    raise CampaignWorkerError(
-                        f"campaign shard {shard_index} worker died "
-                        f"(exit code {exitcode}) and stayed dead "
-                        f"through {max_requeues} re-queues",
-                        shard_index=shard_index,
-                        requeues=requeues[shard_index] - 1,
-                        exitcode=exitcode,
-                    )
-                spawn(shard_index)
+        futures = [
+            pool.submit(indexed[offset::jobs], key=f"shard-{offset}")
+            for offset in range(jobs)
+        ]
+        results = []
+        for shard_index, future in enumerate(futures):
+            response = future.result()
+            if response["status"] != "ok":  # crashed or quarantined
+                raise CampaignWorkerError(
+                    f"campaign shard {shard_index} worker died "
+                    f"(exit code {response['exitcode']}) and stayed dead "
+                    f"through {DEFAULT_SHARD_REQUEUES} re-queues",
+                    shard_index=shard_index,
+                    requeues=response["attempts"] - 1,
+                    exitcode=response["exitcode"],
+                )
+            results.append(response["result"])
     finally:
-        for shard_index in list(running):
-            process, conn = running.pop(shard_index)
-            process.kill()
-            try:
-                conn.close()
-            except OSError:
-                pass
-            process.join(timeout=5)
-
-    merged = [
-        outcome
-        for shard_result in results if shard_result is not None
-        for outcome in shard_result[0]
-    ]
-    merged.sort(key=lambda outcome: outcome.index)
-    shard_metrics = [
-        shard_result[1] for shard_result in results
-        if shard_result is not None and shard_result[1] is not None
-    ]
-    return merged, shard_metrics
+        pool.close(drain=False)
+    merged = sorted(
+        (outcome for outcomes, _ in results for outcome in outcomes),
+        key=lambda outcome: outcome.index,
+    )
+    return merged, [m for _, m in results if m is not None]
 
 
 def _run_scenario(
+    context: _ScenarioContext,
     index: int,
     fault_spec: FaultSpec,
-    machine,
-    loaded,
-    golden: GoldenRun,
     *,
-    registers,
-    memory,
-    mapping,
-    watchdog: int,
-    tracer,
-    engine: str = "interpretive",
+    loaded=None,
+    tracer=NULL_TRACER,
     metrics: CampaignMetrics | None = None,
-    deadline_s: float | None = None,
 ) -> ScenarioOutcome:
+    """Run one scenario of ``context`` (on ``loaded``, if given)."""
+    loaded = context.loaded if loaded is None else loaded
+    golden = context.golden
     rendered = fault_spec.render()
     with tracer.span(f"scenario {index:03d}", cat="fault",
                      spec=rendered) as span:
         simulator = _fresh_simulator(
-            machine, loaded, registers=registers, memory=memory,
-            mapping=mapping, tracer=tracer, engine=engine,
-            collect_profile=metrics is not None, deadline_s=deadline_s,
+            context.machine, loaded, registers=context.registers,
+            memory=context.memory, mapping=context.mapping,
+            tracer=tracer, engine=context.engine,
+            collect_profile=metrics is not None,
+            deadline_s=context.deadline_s,
         )
         injector = build_injector(fault_spec).attach(simulator)
         outcome = ScenarioOutcome(index=index, spec=rendered,
                                   classification="masked")
         try:
-            result = simulator.run(loaded.name, max_cycles=watchdog)
+            result = simulator.run(loaded.name,
+                                   max_cycles=context.watchdog)
         except SimulationLimitError as error:
             outcome.classification = (
                 "hang" if error.kind in ("cycles", "deadline") else "detected"

@@ -15,13 +15,15 @@ built robustness-first:
 * **Deadline propagation** — a per-request wall-clock budget flows
   from admission through queueing into ``Simulator.deadline_s``, so
   a wedged microprogram returns a structured timeout, never a hang.
-* **Crash-safe worker pool** — simulation work runs in supervised
-  ``multiprocessing`` workers; worker death (segfault, OOM-kill,
-  chaos injection) is detected via process sentinels, the worker is
-  respawned, and the in-flight job is re-queued with capped,
-  seeded-jittered exponential backoff.  A request that kills workers
-  repeatedly is quarantined by a per-key circuit breaker with
-  half-open probes.
+* **Crash-safe worker pool** — simulation work runs on the toolkit's
+  one process supervisor, :class:`repro.supervisor.WorkerPool` (the
+  same pool campaign ``--jobs`` shards run on), with
+  :func:`~repro.serve.jobs.execute_lanes` as its worker handler;
+  worker death (segfault, OOM-kill, chaos injection) is detected via
+  process sentinels, the worker is respawned, and the in-flight job is
+  re-queued with capped, seeded-jittered exponential backoff.  A
+  request that kills workers repeatedly is quarantined by a per-key
+  circuit breaker with half-open probes.
 * **Cross-request micro-batching** — compatible queued ``/run`` jobs
   gather (``batch_window_ms`` / ``batch_max_lanes``) and execute as
   one lockstep struct-of-arrays batch (:mod:`repro.sim.batch`) inside
@@ -41,7 +43,6 @@ chaos suite in ``tests/serve/`` assert exact outcomes while killing
 workers at fixed seeds.
 """
 
-from repro.serve.backoff import BackoffPolicy, CircuitBreakers
 from repro.serve.config import ServeConfig
 from repro.serve.http import HttpError, Request, read_request, write_json
 from repro.serve.jobs import (
@@ -53,21 +54,16 @@ from repro.serve.jobs import (
     lockstep_refusal,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import PoolStats, WorkerPool
 from repro.serve.runner import ServiceRunner
 from repro.serve.service import ReproService
 
 __all__ = [
-    "BackoffPolicy",
-    "CircuitBreakers",
     "HttpError",
-    "PoolStats",
     "ReproService",
     "Request",
     "ServeConfig",
     "ServiceMetrics",
     "ServiceRunner",
-    "WorkerPool",
     "batch_group_key",
     "dedup_key",
     "execute_batch",

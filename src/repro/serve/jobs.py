@@ -161,28 +161,17 @@ def batch_group_key(job: dict) -> str:
 # ----------------------------------------------------------------------
 # Worker-side execution
 # ----------------------------------------------------------------------
-_WORKER_CACHE: CompileCache | None = None
+#: ``(pid, cache)``: keyed by process so a forked worker never reuses a
+#: cache its parent built (pinned to the parent's ``cache_dir``).
+_WORKER_CACHE: tuple[int, CompileCache] | None = None
 
 
 def _worker_cache(cache_dir: str | None) -> CompileCache:
     """One compile cache per worker process, disk tier shared by all."""
     global _WORKER_CACHE
-    if _WORKER_CACHE is None:
-        _WORKER_CACHE = CompileCache(disk_dir=cache_dir)
-    return _WORKER_CACHE
-
-
-def reset_worker_cache() -> None:
-    """Drop the per-process compile cache so the next job rebuilds it.
-
-    Worker processes call this on startup: under the fork start method
-    they inherit the parent's module globals, and if the parent ever ran
-    :func:`execute_job` in-process (tests, embedding applications) the
-    inherited cache would silently pin the parent's ``cache_dir`` instead
-    of the pool's own.
-    """
-    global _WORKER_CACHE
-    _WORKER_CACHE = None
+    if _WORKER_CACHE is None or _WORKER_CACHE[0] != os.getpid():
+        _WORKER_CACHE = (os.getpid(), CompileCache(disk_dir=cache_dir))
+    return _WORKER_CACHE[1]
 
 
 def _int_map(raw: dict | None) -> dict[str, int]:
@@ -452,3 +441,20 @@ def execute_batch(entries, *, cache_dir: str | None = None
         (ticket_id, _lane_response(job, machine, mapping, outcome, cache))
         for (ticket_id, job, _, _), outcome in zip(entries, outcomes)
     ]
+
+
+def execute_lanes(lanes, *, cache_dir: str | None = None
+                  ) -> list[tuple[int, dict]]:
+    """The service pool's worker handler: answer one dispatched message.
+
+    One lane executes through :func:`execute_job`, a gathered group
+    through :func:`execute_batch`; both answer every lane with a
+    structured response.  The service binds ``cache_dir`` with
+    :func:`functools.partial`.
+    """
+    if len(lanes) > 1:
+        return execute_batch(lanes, cache_dir=cache_dir)
+    ticket_id, job, attempt, budget_s = lanes[0]
+    return [(ticket_id, execute_job(
+        job, attempt=attempt, budget_s=budget_s, cache_dir=cache_dir,
+    ))]

@@ -52,10 +52,10 @@ closes, new requests get 503, in-flight work finishes inside
 from __future__ import annotations
 
 import asyncio
+import functools
 import signal
 
 from repro.obs.tracer import NULL_TRACER
-from repro.serve.backoff import BackoffPolicy, CircuitBreakers
 from repro.serve.config import ServeConfig
 from repro.serve.http import (
     HttpError,
@@ -67,11 +67,12 @@ from repro.serve.http import (
 from repro.serve.jobs import (
     batch_group_key,
     dedup_key,
+    execute_lanes,
     job_key,
     lockstep_refusal,
 )
 from repro.serve.metrics import ServiceMetrics
-from repro.serve.pool import WorkerPool
+from repro.supervisor import BackoffPolicy, CircuitBreakers, WorkerPool
 
 #: Pool/worker outcome status → HTTP response code.
 STATUS_CODES = {
@@ -95,7 +96,9 @@ class ReproService:
         self.metrics = ServiceMetrics()
         self.pool = WorkerPool(
             self.config.workers,
-            cache_dir=self.config.cache_dir,
+            handler=functools.partial(
+                execute_lanes, cache_dir=self.config.cache_dir
+            ),
             backoff=BackoffPolicy(
                 base_s=self.config.retry_base_s,
                 cap_s=self.config.retry_cap_s,

@@ -5,13 +5,20 @@ microinstruction — the deterministic stand-in for a shard worker
 dying of segfault/OOM.  The supervisor must observe the death via the
 process sentinel, re-queue the shard, and surface persistent death as
 :class:`~repro.errors.CampaignWorkerError` naming the shard and its
-re-queue count.  (Recoverable crashes — death on attempt 0, success
-on retry — are exercised at the serve pool level, where chaos is
-attempt-scoped; the injector kills deterministically every run.)
+re-queue count.  The injector kills deterministically on every run, so
+a recoverable crash — death on the first attempt only, success on the
+re-run — is staged by patching the shard body the workers fork with.
 """
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro.errors import CampaignWorkerError, FaultPlanError
 from repro.faults.campaign import fault_space_for, run_campaign_loaded
 from repro.faults.injectors import ProcessKill, build_injector
@@ -101,3 +108,69 @@ class TestWorkerDeathSurfaces:
             LOOP_SRC, "yalll", machine, n=16, seed=11, jobs=3
         )
         assert campaign_json([sharded]) == campaign_json([serial])
+
+
+class TestSharedSupervisor:
+    """Campaign shards run on :class:`repro.supervisor.WorkerPool`."""
+
+    def test_transient_shard_death_is_rerun_byte_identically(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.faults import campaign as campaign_module
+        from repro.faults.campaign import run_campaign
+        from repro.faults.report import campaign_json, render_campaign
+
+        machine = get_machine("HM1")
+        serial = run_campaign(
+            LOOP_SRC, "yalll", machine, n=16, seed=11, jobs=1
+        )
+        real_shard_worker = campaign_module._shard_worker
+
+        def dies_on_first_attempt(context, shard):
+            # Forked workers inherit this patch; the marker outlives
+            # the first attempt, so each shard's re-run succeeds.
+            marker = tmp_path / f"died-{shard[0][0]}"
+            if not marker.exists():
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_shard_worker(context, shard)
+
+        monkeypatch.setattr(
+            campaign_module, "_shard_worker", dies_on_first_attempt
+        )
+        sharded = run_campaign(
+            LOOP_SRC, "yalll", machine, n=16, seed=11, jobs=2
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "died-0", "died-1",
+        ]
+        assert campaign_json([sharded]) == campaign_json([serial])
+        assert render_campaign(sharded, scenarios=True) == \
+            render_campaign(serial, scenarios=True)
+
+    def test_sharded_campaign_imports_no_service_layer(self):
+        # Reaching the pool through repro.serve would load the service
+        # layer and asyncio into every sharded campaign; the supervisor
+        # sits below both of its users.
+        script = textwrap.dedent(f"""
+            import sys
+            from repro.faults.campaign import run_campaign
+            from repro.machine.machines import get_machine
+
+            run_campaign({LOOP_SRC!r}, "yalll", get_machine("HM1"),
+                         n=4, seed=1, jobs=2)
+            assert "repro.supervisor" in sys.modules
+            print(sorted(
+                name for name in sys.modules
+                if name.split(".")[0] == "asyncio"
+                or name == "repro.serve" or name.startswith("repro.serve.")
+            ))
+        """)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"

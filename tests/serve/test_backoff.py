@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve.backoff import BackoffPolicy, CircuitBreakers
+from repro.supervisor import BackoffPolicy, CircuitBreakers
 
 KEYS = st.text(min_size=1, max_size=24)
 

@@ -6,6 +6,7 @@ produced alone — same result block, same error text — with batching
 observable only through the ``serve.batch`` counters and obs spans.
 """
 
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -17,15 +18,15 @@ from hypothesis import strategies as st
 import repro.sim.batch as batch
 from repro.obs.tracer import Tracer
 from repro.serve import ServeConfig, ServiceRunner
-from repro.serve.backoff import BackoffPolicy, CircuitBreakers
 from repro.serve.jobs import (
     batch_group_key,
     dedup_key,
     execute_job,
+    execute_lanes,
     job_key,
     lockstep_refusal,
 )
-from repro.serve.pool import WorkerPool
+from repro.supervisor import BackoffPolicy, CircuitBreakers, WorkerPool
 from tests.pipeline.golden_programs import YALLL_MUL
 from tests.serve.conftest import ADD_SRC
 
@@ -50,7 +51,8 @@ def make_pool(tmp_path):
     pools = []
 
     def _make(**kwargs):
-        kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
+        kwargs.setdefault("handler", functools.partial(
+            execute_lanes, cache_dir=str(tmp_path / "cache")))
         kwargs.setdefault("backoff", FAST_BACKOFF)
         pool = WorkerPool(kwargs.pop("n_workers", 1), **kwargs)
         pool.start()

@@ -6,14 +6,20 @@ dispatch attempts (or wedge with a sleep), so every assertion about
 crash counts, retry outcomes and breaker states is exact.
 """
 
+import functools
 import os
+import time
 from concurrent.futures import Future
 
 import pytest
 
-from repro.serve.backoff import BackoffPolicy, CircuitBreakers
-from repro.serve.jobs import job_key
-from repro.serve.pool import WorkerPool, _Ticket
+from repro.serve.jobs import execute_lanes, job_key
+from repro.supervisor import (
+    BackoffPolicy,
+    CircuitBreakers,
+    WorkerPool,
+    _Ticket,
+)
 from tests.serve.conftest import ADD_SRC
 from tests.serve.test_backoff import FakeClock
 
@@ -29,7 +35,8 @@ def make_pool(tmp_path):
     pools = []
 
     def _make(**kwargs):
-        kwargs.setdefault("cache_dir", str(tmp_path / "cache"))
+        kwargs.setdefault("handler", functools.partial(
+            execute_lanes, cache_dir=str(tmp_path / "cache")))
         kwargs.setdefault("backoff", FAST_BACKOFF)
         pool = WorkerPool(kwargs.pop("n_workers", 1), **kwargs)
         pool.start()
@@ -191,6 +198,41 @@ class TestDrain:
         assert statuses == {"shutdown"}
 
 
+class TestCloseRaces:
+    """A draining or timed-out ``close()`` never strands work or fds."""
+
+    def test_crash_during_drain_requeues_onto_a_respawned_worker(
+        self, make_pool
+    ):
+        pool = make_pool(max_requeues=4)
+        job = run_job(chaos={"kill_on_attempts": [0]})
+        future = pool.submit(job, key=job_key(job))
+        pool.close(drain=True, timeout=5)
+        assert not pool._supervisor.is_alive()
+        assert future.result(timeout=0)["status"] == "ok"
+        assert pool.stats.requeues == 1
+        assert pool.depth() == {"pending": 0, "inflight": 0, "workers": 0}
+
+    def test_timed_out_close_leaves_the_wake_pipe_to_the_supervisor(
+        self, make_pool
+    ):
+        pool = make_pool()
+        job = run_job(chaos={"sleep_s": 1.5})
+        future = pool.submit(job, key=job_key(job))
+        pool.close(drain=True, timeout=0.2)
+        assert pool._supervisor.is_alive()
+        # Still open while the supervisor waits on them ...
+        os.fstat(pool._wake_r)
+        os.fstat(pool._wake_w)
+        cpu = time.process_time()
+        assert future.result(timeout=30)["status"] == "ok"
+        pool._supervisor.join(timeout=10)
+        # ... which it did without spinning, then exited and closed them.
+        assert not pool._supervisor.is_alive()
+        assert time.process_time() - cpu < 0.5
+        assert pool._wake_r is None and pool._wake_w is None
+
+
 class TestWaitHorizon:
     """The supervisor's sleep, on a fake clock (no worker starts)."""
 
@@ -198,8 +240,8 @@ class TestWaitHorizon:
     def pool(self):
         clock = FakeClock()
         clock.now = 100.0
-        pool = WorkerPool(1, batch_window_s=0.005, batch_max_lanes=8,
-                          clock=clock)
+        pool = WorkerPool(1, handler=execute_lanes, batch_window_s=0.005,
+                          batch_max_lanes=8, clock=clock)
         yield pool
         os.close(pool._wake_r)
         os.close(pool._wake_w)
