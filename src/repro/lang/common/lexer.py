@@ -38,6 +38,8 @@ class LexerSpec:
     Attributes:
         patterns: Ordered ``(token_type, regex)`` pairs; first match
             wins.  A token type of ``None`` is skipped (whitespace).
+            The patterns are joined into one alternation, so none may
+            match the empty string or use numbered backreferences.
         keywords: Words that turn an identifier into its own type
             (uppercased type name).
         keywords_case_insensitive: Fold case when matching keywords.
@@ -59,10 +61,21 @@ class Lexer:
 
     def __init__(self, spec: LexerSpec):
         self.spec = spec
-        self._compiled = [
-            (token_type, re.compile(pattern))
-            for token_type, pattern in spec.patterns
-        ]
+        # One alternation with a named group per pattern: ``re`` tries the
+        # alternatives in order, so the first pattern that matches wins.
+        for _token_type, pattern in spec.patterns:
+            if re.match(pattern, ""):
+                raise ValueError(
+                    f"lexer pattern {pattern!r} matches the empty string"
+                )
+        self._scanner = re.compile("|".join(
+            f"(?P<_{index}>{pattern})"
+            for index, (_token_type, pattern) in enumerate(spec.patterns)
+        )).match
+        self._types = {
+            f"_{index}": token_type
+            for index, (token_type, _pattern) in enumerate(spec.patterns)
+        }
         if spec.keywords_case_insensitive:
             self._keywords = {k.lower() for k in spec.keywords}
         else:
@@ -89,11 +102,7 @@ class Lexer:
                 if close < 0:
                     raise LexError("unterminated comment", line, column)
                 consumed = text[position : close + len(spec.block_comment[1])]
-                line += consumed.count("\n")
-                if "\n" in consumed:
-                    column = len(consumed) - consumed.rfind("\n")
-                else:
-                    column += len(consumed)
+                line, column = _advance(consumed, line, column)
                 position = close + len(spec.block_comment[1])
                 continue
             if text[position] == "\n":
@@ -103,22 +112,18 @@ class Lexer:
                 column = 1
                 position += 1
                 continue
-            matched = False
-            for token_type, regex in self._compiled:
-                match = regex.match(text, position)
-                if match and match.end() > position:
-                    value = match.group(0)
-                    if token_type is not None:
-                        resolved = self._classify(token_type, value)
-                        tokens.append(Token(resolved, value, line, column))
-                    column += len(value)
-                    position = match.end()
-                    matched = True
-                    break
-            if not matched:
+            match = self._scanner(text, position)
+            if match is None or match.end() == position:
                 raise LexError(
                     f"unexpected character {text[position]!r}", line, column
                 )
+            value = match.group()
+            token_type = self._types[match.lastgroup]
+            if token_type is not None:
+                resolved = self._classify(token_type, value)
+                tokens.append(Token(resolved, value, line, column))
+            line, column = _advance(value, line, column)
+            position = match.end()
         tokens.append(Token(EOF, "", line, column))
         return TokenStream(tokens)
 
@@ -132,6 +137,14 @@ class Lexer:
             if needle in self._keywords:
                 return needle.upper()
         return token_type
+
+
+def _advance(consumed: str, line: int, column: int) -> tuple[int, int]:
+    """The position just after ``consumed``, which started at line:column."""
+    newlines = consumed.count("\n")
+    if newlines:
+        return line + newlines, len(consumed) - consumed.rfind("\n")
+    return line, column + len(consumed)
 
 
 class TokenStream:

@@ -25,7 +25,7 @@ from repro.mir.operands import Imm, Operand, Reg, preg, vreg
 from repro.mir.ops import MicroOp
 
 
-def _terminator_regs(terminator: Terminator | None) -> tuple[Reg, ...]:
+def terminator_regs(terminator: Terminator | None) -> tuple[Reg, ...]:
     """Register operands referenced by a terminator, if any."""
     from repro.mir.block import Exit as _Exit, Multiway as _Multiway
 
@@ -115,7 +115,7 @@ class MicroProgram:
         for block in self.blocks.values():
             for op in block.ops:
                 found.update(r for r in op.regs() if r.virtual)
-            for reg in _terminator_regs(block.terminator):
+            for reg in terminator_regs(block.terminator):
                 if reg.virtual:
                     found.add(reg)
         return found

@@ -9,20 +9,16 @@ and spill-and-retry when simplification blocks.  This is the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import AllocationError
 from repro.machine.machine import MicroArchitecture
-from repro.machine.registers import GPR
 from repro.mir.deps import op_reads, op_writes
 from repro.mir.liveness import analyze_liveness
-from repro.mir.operands import preg, vreg
 from repro.mir.program import MicroProgram
 from repro.obs.tracer import NULL_TRACER
-from repro.regalloc.constraints import allowed_registers, used_physical_registers
 from repro.regalloc.intervals import live_intervals
-from repro.regalloc.linear_scan import N_SPILL_TEMPS, AllocationResult
-from repro.regalloc.spill import assign_slots, insert_spill_code
+from repro.regalloc.linear_scan import AllocationResult, allocate_in_rounds, restrict
 
 
 def build_interference_graph(
@@ -74,23 +70,9 @@ class GraphColorAllocator:
     def allocate(
         self, program: MicroProgram, machine: MicroArchitecture
     ) -> AllocationResult:
-        result = AllocationResult(allocator=self.name)
-        temps: list[str] = []
-        for _round in range(64):
-            if not program.virtual_regs():
-                break
-            allowed = allowed_registers(program, machine)
-            for virtual in program.virtual_regs():
-                allowed.setdefault(
-                    virtual,
-                    [
-                        r.name
-                        for r in machine.registers.allocatable(GPR)
-                        if r.name not in used_physical_registers(program)
-                    ],
-                )
+        def assign(index, allowed, temps):
             palettes = {
-                f"%{v.name}": self._restrict(candidates, temps)
+                f"%{v.name}": restrict(candidates, self.register_limit, temps)
                 for v, candidates in allowed.items()
             }
             for name, palette in palettes.items():
@@ -111,63 +93,13 @@ class GraphColorAllocator:
             if self.tracer.enabled:
                 self.tracer.instant(
                     "regalloc.round", cat="regalloc", allocator=self.name,
-                    round=_round, nodes=len(graph),
+                    round=index, nodes=len(graph),
                     edges=sum(len(n) for n in graph.values()) // 2,
                     coloured=len(colouring), spilling=sorted(spill_names),
                 )
-            if not spill_names:
-                mapping = {
-                    vreg(name[1:]): preg(colour)
-                    for name, colour in colouring.items()
-                }
-                program.rename_regs(mapping)
-                result.mapping.update(
-                    {name[1:]: colour for name, colour in colouring.items()}
-                )
-                result.registers_used = len(set(result.mapping.values())) + len(
-                    set(temps)
-                )
-                return result
-            if not temps:
-                reserved = used_physical_registers(program)
-                pool = self._restrict(
-                    [
-                        r.name
-                        for r in machine.registers.allocatable(GPR)
-                        if r.name not in reserved
-                    ],
-                    [],
-                )
-                temps = pool[-N_SPILL_TEMPS:]
-                if len(temps) < 2:
-                    raise AllocationError(
-                        "register pool too small even for spill temporaries"
-                    )
-            slots = assign_slots(
-                [name[1:] for name in spill_names],
-                result.spilled_slots,
-                machine.scratchpad_size,
-            )
-            spill = insert_spill_code(program, slots, temps)
-            result.spilled_slots.update(slots)
-            result.loads_inserted += spill.loads_inserted
-            result.stores_inserted += spill.stores_inserted
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "regalloc.spill", cat="regalloc", allocator=self.name,
-                    slots=slots, loads=spill.loads_inserted,
-                    stores=spill.stores_inserted,
-                )
-        else:  # pragma: no cover - defensive
-            raise AllocationError("allocation did not converge")
-        result.registers_used = len(set(result.mapping.values())) + len(set(temps))
-        return result
+            return colouring, spill_names
 
-    def _restrict(self, candidates: list[str], temps: list[str]) -> list[str]:
-        limited = candidates
-        if self.register_limit is not None:
-            limited = limited[: self.register_limit]
-        return [r for r in limited if r not in temps]
+        return allocate_in_rounds(self, program, machine, assign)
 
     def _colour(
         self,

@@ -15,14 +15,14 @@ interact (survey §2.1.4, experiment E14):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.errors import AllocationError
 from repro.machine.machine import MicroArchitecture
-from repro.machine.registers import GPR
-from repro.mir.operands import Reg, preg, vreg
+from repro.mir.operands import preg, vreg
 from repro.mir.program import MicroProgram
 from repro.obs.tracer import NULL_TRACER
-from repro.regalloc.constraints import allowed_registers, used_physical_registers
+from repro.regalloc.constraints import allowed_registers
 from repro.regalloc.intervals import Interval, live_intervals
 from repro.regalloc.spill import assign_slots, insert_spill_code
 
@@ -46,6 +46,71 @@ class AllocationResult:
         return len(self.spilled_slots)
 
 
+def restrict(
+    candidates: list[str], register_limit: int | None, temps: list[str]
+) -> list[str]:
+    """Candidates within the first ``register_limit``, minus ``temps``."""
+    if register_limit is not None:
+        candidates = candidates[:register_limit]
+    return [r for r in candidates if r not in temps]
+
+
+def allocate_in_rounds(
+    allocator,
+    program: MicroProgram,
+    machine: MicroArchitecture,
+    assign: Callable[..., tuple[dict[str, str], list[str]]],
+) -> AllocationResult:
+    """Assign, spill what did not fit, rewrite and retry.
+
+    Each round takes its register facts from one walk of the program
+    (:func:`allowed_registers`) and calls ``assign(index, allowed,
+    temps)``, which returns a mapping and the names to spill (both in
+    ``%v`` form).  Spill temporaries are reserved from the round's pool
+    when spilling first starts.
+    """
+    result = AllocationResult(allocator=allocator.name)
+    temps: list[str] = []
+    for index in range(64):
+        allowed, pool = allowed_registers(program, machine)
+        if not allowed:
+            break
+        mapping, to_spill = assign(index, allowed, temps)
+        if not to_spill:
+            program.rename_regs(
+                {vreg(name[1:]): preg(target) for name, target in mapping.items()}
+            )
+            result.mapping.update(
+                {name[1:]: target for name, target in mapping.items()}
+            )
+            break
+        if not temps:
+            temps = restrict(pool, allocator.register_limit, [])[-N_SPILL_TEMPS:]
+            if len(temps) < 2:
+                raise AllocationError(
+                    "register pool too small even for spill temporaries"
+                )
+        slots = assign_slots(
+            [name[1:] for name in to_spill],
+            result.spilled_slots,
+            machine.scratchpad_size,
+        )
+        spill = insert_spill_code(program, slots, temps)
+        result.spilled_slots.update(slots)
+        result.loads_inserted += spill.loads_inserted
+        result.stores_inserted += spill.stores_inserted
+        if allocator.tracer.enabled:
+            allocator.tracer.instant(
+                "regalloc.spill", cat="regalloc", allocator=allocator.name,
+                slots=slots, loads=spill.loads_inserted,
+                stores=spill.stores_inserted,
+            )
+    else:  # pragma: no cover - defensive
+        raise AllocationError("allocation did not converge")
+    result.registers_used = len(set(result.mapping.values())) + len(set(temps))
+    return result
+
+
 @dataclass
 class LinearScanAllocator:
     """Classic linear scan over coarse intervals.
@@ -65,26 +130,11 @@ class LinearScanAllocator:
         self, program: MicroProgram, machine: MicroArchitecture
     ) -> AllocationResult:
         """Allocate all virtual registers of ``program`` in place."""
-        result = AllocationResult(allocator=self.name)
-        rotation = 0
-        temps: list[str] = []
-        for _round in range(64):
-            virtuals = program.virtual_regs()
-            if not virtuals:
-                break
-            allowed = allowed_registers(program, machine)
-            for virtual in virtuals:
-                allowed.setdefault(
-                    virtual,
-                    [
-                        r.name
-                        for r in machine.registers.allocatable(GPR)
-                        if r.name not in used_physical_registers(program)
-                    ],
-                )
+
+        def assign(index, allowed, temps):
             if self.register_limit is not None or temps:
                 allowed = {
-                    v: self._restrict(candidates, temps)
+                    v: restrict(candidates, self.register_limit, temps)
                     for v, candidates in allowed.items()
                 }
                 for v, candidates in allowed.items():
@@ -93,71 +143,20 @@ class LinearScanAllocator:
                             f"register pool exhausted for {v} "
                             f"(limit {self.register_limit})"
                         )
-            intervals = live_intervals(program, machine)
-            mapping, to_spill = self._scan(intervals, allowed, rotation)
+            mapping, to_spill = self._scan(live_intervals(program, machine), allowed)
             if self.tracer.enabled:
                 self.tracer.instant(
                     "regalloc.round", cat="regalloc", allocator=self.name,
-                    round=_round, virtuals=len(virtuals),
+                    round=index, virtuals=len(allowed),
                     assigned=len(mapping), spilling=sorted(to_spill),
                 )
-            if not to_spill:
-                reg_mapping = {
-                    vreg(name[1:]): preg(target) for name, target in mapping.items()
-                }
-                program.rename_regs(reg_mapping)
-                result.mapping.update(
-                    {name[1:]: target for name, target in mapping.items()}
-                )
-                result.registers_used = len(set(result.mapping.values())) + len(
-                    set(temps)
-                )
-                return result
-            # Reserve temporaries once spilling starts, then rewrite.
-            if not temps:
-                reserved = used_physical_registers(program)
-                pool = [
-                    r.name for r in machine.registers.allocatable(GPR)
-                    if r.name not in reserved
-                ]
-                pool = self._restrict(pool, [])
-                temps = pool[-N_SPILL_TEMPS:]
-                if len(temps) < 2:
-                    raise AllocationError(
-                        "register pool too small even for spill temporaries"
-                    )
-            slots = assign_slots(
-                [name[1:] for name in to_spill],
-                result.spilled_slots,
-                machine.scratchpad_size,
-            )
-            spill = insert_spill_code(program, slots, temps)
-            result.spilled_slots.update(slots)
-            result.loads_inserted += spill.loads_inserted
-            result.stores_inserted += spill.stores_inserted
-            if self.tracer.enabled:
-                self.tracer.instant(
-                    "regalloc.spill", cat="regalloc", allocator=self.name,
-                    slots=slots, loads=spill.loads_inserted,
-                    stores=spill.stores_inserted,
-                )
-        else:  # pragma: no cover - defensive
-            raise AllocationError("allocation did not converge")
-        result.registers_used = len(set(result.mapping.values())) + len(set(temps))
-        return result
+            return mapping, to_spill
+
+        return allocate_in_rounds(self, program, machine, assign)
 
     # ------------------------------------------------------------------
-    def _restrict(self, candidates: list[str], temps: list[str]) -> list[str]:
-        limited = candidates
-        if self.register_limit is not None:
-            limited = limited[: self.register_limit]
-        return [r for r in limited if r not in temps]
-
     def _scan(
-        self,
-        intervals: dict[str, Interval],
-        allowed: dict,
-        rotation: int,
+        self, intervals: dict[str, Interval], allowed: dict
     ) -> tuple[dict[str, str], list[str]]:
         """One linear-scan pass: returns (mapping, names to spill)."""
         # The name tie-break makes the scan order a total order: interval
@@ -170,7 +169,7 @@ class LinearScanAllocator:
         active: list[tuple[Interval, str]] = []
         mapping: dict[str, str] = {}
         to_spill: list[str] = []
-        counter = rotation
+        counter = 0
         for interval in order:
             active = [(a, r) for a, r in active if a.end >= interval.start]
             in_use = {r for _a, r in active}

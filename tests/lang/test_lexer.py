@@ -83,6 +83,71 @@ class TestTokenization:
         assert stream.advance().type == "IDENT"
 
 
+def whitespace_lexer():
+    """The MPL/EMPL/SIMPL/S* shape: one ``\\s+`` pattern skips newlines too."""
+    return Lexer(LexerSpec(patterns=[
+        (None, r"\s+"),
+        ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+        ("PLUS", r"\+"),
+    ]))
+
+
+def drain(stream):
+    """Every token before EOF."""
+    found = []
+    while not stream.at_end():
+        found.append(stream.advance())
+    return found
+
+
+class TestScanner:
+    def test_first_pattern_wins_not_longest(self):
+        lexer = Lexer(LexerSpec(patterns=[
+            ("NUMBER", r"[0-9]+"),
+            ("HEX", r"0x[0-9a-f]+"),
+            ("IDENT", r"[a-z][a-z0-9]*"),
+        ]))
+        tokens = drain(lexer.tokenize("0x1f"))
+        assert [(t.type, t.value) for t in tokens] == [
+            ("NUMBER", "0"), ("IDENT", "x1f"),
+        ]
+
+    def test_groups_inside_patterns_do_not_leak(self):
+        lexer = Lexer(LexerSpec(patterns=[
+            (None, r" +"),
+            ("NUMBER", r"-?(0x[0-9a-f]+|[0-9]+)"),
+            ("IDENT", r"(?P<word>[a-z]+)"),
+        ]))
+        tokens = drain(lexer.tokenize("-0x1f ab 7"))
+        assert [t.type for t in tokens] == ["NUMBER", "IDENT", "NUMBER"]
+
+    def test_pattern_matching_empty_string_rejected(self):
+        with pytest.raises(ValueError, match="empty string"):
+            Lexer(LexerSpec(patterns=[("A", r"a"), ("B", r"b*")]))
+
+
+class TestWhitespaceSpanningNewlines:
+    def test_trailing_whitespace_before_newline(self):
+        tokens = drain(whitespace_lexer().tokenize("a  \nb"))
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), ("b", 2, 1),
+        ]
+
+    def test_whitespace_only_line(self):
+        tokens = drain(whitespace_lexer().tokenize("a\n   \n  b + c"))
+        assert [(t.value, t.line, t.column) for t in tokens] == [
+            ("a", 1, 1), ("b", 3, 3), ("+", 3, 5), ("c", 3, 7),
+        ]
+
+    def test_parse_error_line_after_indented_blank_line(self, hm1):
+        from repro.lang.mpl import compile_mpl
+
+        source = "program p;\nbegin\n    R0 -> R3;\n    \n    R3 +\n"
+        with pytest.raises(ParseError) as error:
+            compile_mpl(source, hm1)
+        assert error.value.line == 6
+
+
 class TestStream:
     def test_expect_success_and_failure(self):
         stream = make_lexer().tokenize("a 1")

@@ -153,7 +153,7 @@ class TestConstraintCollection:
         b.start_block("e")
         b.emit(mop("mov", vreg("_rs1"), preg("T5")))
         b.exit(vreg("_rs1"))
-        allowed = allowed_registers(b.finish(), vax)
+        allowed, _pool = allowed_registers(b.finish(), vax)
         names = allowed[vreg("_rs1")]
         assert names
         assert all(not vax.registers[n].macro_visible for n in names)
