@@ -355,18 +355,18 @@ def self_check(
     for axis, pairs in traced_report.pairs_run.items():
         report.pairs_run[axis] = report.pairs_run.get(axis, 0) + pairs
     # Phase three: corrupt one lane of the batched lockstep driver.
-    # No shrink pass, same economics as phase two.  The budget floor
-    # is higher than the other phases': a corrupted lane often derails
-    # its own control flow (a wrong branch, a runaway loop) and peels
-    # the batch to the scalar engine, where the plant cannot reach —
-    # only cases whose corruption stays data-only can detect it, so
-    # the phase needs more shots on goal.
-    # Detection needs only the corrupt leader plus one surviving
-    # follower, so a small lane count proves the same property while
-    # a derailed batch peels 4 scalar replays instead of 64.  A
-    # corrupted loop counter often spins until the cycle budget, so
-    # the budget is cut for the phase — both sides of every pair see
-    # the same cut, which keeps non-planted comparisons clean.
+    # No shrink pass, same economics as phase two.  A corrupted lane
+    # 0 that derails its own control flow (a wrong branch, a runaway
+    # loop) now stays batched on its own path instead of peeling out
+    # of the plant's reach.  The budget floor stays above the other
+    # phases': a flipped low bit can be masked before it shows, and
+    # paged lanes still replay out of reach, so the phase needs more
+    # shots on goal.  Detection needs only the corrupt lane 0, so a
+    # small lane count proves the same property while every peel
+    # replays 4 lanes instead of 64.  A corrupted loop counter often
+    # spins until the cycle budget, so the budget is cut for the
+    # phase — both sides of every pair see the same cut, which keeps
+    # non-planted comparisons clean.
     import repro.difftest.oracle as oracle_mod
 
     refusal = fast_path_refusal(LOCKSTEP, lanes=4)

@@ -40,6 +40,16 @@ must be observably identical:
     reports must be byte-identical (the determinism contract of
     ``repro.faults``).
 
+``batched``
+    The scalar decoded engine against every lane of a lockstep batch
+    (:mod:`repro.sim.batch`), everything but the profile.  Memory cases
+    run paged, where every lane pagefaults and replays on the scalar
+    engine, so they get a second, unpaged pass too: four seeded memory
+    images (:func:`lane_images`) spread across the lanes, each lane
+    compared with its own image's scalar run.  Lanes whose control
+    flow depends on the data then diverge and reconverge inside the
+    batch.
+
 Axes never raise on behavioural differences — they return a
 :class:`Divergence` carrying rendered mismatches.  A *crash* in
 compile or run is itself an observable: it is captured into
@@ -48,7 +58,8 @@ compile or run is itself an observable: it is captured into
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from dataclasses import dataclass, field, replace
 
 from repro.asm.loader import ControlStore
 from repro.cache import CompileCache
@@ -65,6 +76,10 @@ from repro.sim.state import MachineState
 #: well-behaved case finishes in a few thousand cycles and anything
 #: approaching this is itself a bug worth surfacing.
 MAX_CYCLES = 2_000_000
+
+#: Memory images the ``batched`` axis spreads across a memory case's
+#: lanes in its unpaged pass.
+LANE_IMAGES = 4
 
 
 @dataclass(frozen=True)
@@ -242,27 +257,47 @@ def observe(
         return Observation(error=f"{type(error).__name__}: {error}")
 
 
+def lane_images(case: GeneratedCase) -> list[dict]:
+    """The case's memory image and seeded variants of it.
+
+    Each variant gives every word of the case's image a random 16-bit
+    value drawn from the case seed, so conditions on loaded data come
+    out differently from lane to lane.
+    """
+    images = [dict(case.memory)]
+    for index in range(1, LANE_IMAGES):
+        rng = random.Random(f"{case.seed}:image:{index}")
+        images.append(
+            {address: rng.randrange(1 << 16) for address in case.memory}
+        )
+    return images
+
+
 def observe_batch(
     case: GeneratedCase,
     *,
     lanes: int = DEFAULT_LANES,
     paging: bool = False,
+    images: list[dict] | None = None,
 ) -> list[Observation]:
     """One observation per lane of a lockstep batch of the case.
 
-    Every lane starts from the same initial state, so all lanes must
-    observe exactly what the scalar decoded run observes — including
+    Lane ``i`` starts from memory image ``images[i % len(images)]``
+    (default: the case's own image), so each lane must observe exactly
+    what the scalar decoded run of its image observes — including
     lanes the driver peeled (traps, per-lane errors), whose scalar
     replay is the comparison's whole point.  Errors are captured per
     lane in the same ``TypeName: message`` rendering as
     :func:`observe`, so crash parity diffs cleanly too.
     """
+    images = images or [case.memory]
     try:
         machine = build_machine(case.machine)
         result = compile_case(case, machine)
         outcomes = run_cases(
             machine, result.loaded,
-            [BatchCase(memory=dict(case.memory)) for _ in range(lanes)],
+            [BatchCase(memory=dict(images[lane % len(images)]))
+             for lane in range(lanes)],
             batch=lanes, paging=paging,
             trap_service=_paging_service if paging else None,
             max_cycles=MAX_CYCLES,
@@ -435,6 +470,20 @@ def _axis_batched(
     ):
         for line in diff_observations(left, right, _BATCH_FIELDS):
             mismatches.append(f"lane {lane} {line}")
+    if not case.uses_memory:
+        return mismatches
+    images = lane_images(case)
+    lefts = [
+        observe(replace(case, memory=image), engine="decoded")
+        for image in images
+    ]
+    for lane, right in enumerate(
+        observe_batch(case, lanes=lanes, images=images)
+    ):
+        for line in diff_observations(
+            lefts[lane % len(images)], right, _BATCH_FIELDS
+        ):
+            mismatches.append(f"unpaged lane {lane} {line}")
     return mismatches
 
 

@@ -407,14 +407,16 @@ def execute_batch(entries, *, cache_dir: str | None = None
 
     All lanes share a :func:`batch_group_key`, so one compile serves
     the whole group and the lanes run through
-    :func:`repro.sim.batch.run_cases` in lockstep — the S23 driver's
-    divergence peel-off replays any lane the batch cannot carry on
-    the scalar decoded engine, which is what keeps every response
-    byte-identical to scalar execution, error text included.  If the
-    batched path itself fails (a refused machine, an unexpected
-    decode error), every lane falls back to scalar
-    :func:`execute_job` — batching is an optimisation, never a new
-    failure mode.
+    :func:`repro.sim.batch.run_cases` in lockstep — lanes whose data
+    sends them down different paths keep their own microprogram
+    counters and reconverge inside the batch, and any lane that
+    traps, faults, overflows its return stack or runs out of cycles
+    replays on the scalar decoded engine, which is what keeps every
+    response byte-identical to scalar execution, error text
+    included.  If the batched path itself fails (a refused
+    machine, an unexpected decode error), every lane falls back to
+    scalar :func:`execute_job` — batching is an optimisation, never a
+    new failure mode.
     """
     cache = _worker_cache(cache_dir)
     lead = entries[0][1]

@@ -13,25 +13,34 @@ simulators fast, applied to the pre-decoded engine of
 plans are built by the same lowering, from the same op table
 (:mod:`repro.sim.ops`), through a lane-vector decode backend
 (:class:`_LaneSteps`).  What stays here is the lockstep part — the
-vector state, ``settle`` and the peel rules.
+vector state, the scheduler and the peel rules.
 
-**Lockstep invariant.**  While lanes are live they share one
-microprogram counter, one cycle count and one micro return stack —
-legal because a lane that would diverge *leaves the batch* first.
+**Reconvergence.**  Every lane has its own microprogram counter, cycle
+and instruction count, exit state and micro return stack.  Each step
+runs the control-store address held by the most runnable lanes (ties
+go to the lowest address), with that *group* of lanes as its mask —
+dynamic warp formation with majority scheduling (Fung et al., MICRO
+2007).  A branch or multiway that splits the group sends each lane to
+its own next address and peels nobody; lanes that meet again at one
+address run together again.  While every runnable lane shares one
+address — a uniform sweep, and every batch until it first diverges —
+a step needs no scheduling and commits unmasked.  Otherwise registers,
+flags and memory commit to the group's lanes only, so waiting and
+finished lanes keep their state, and the stores act for the group's
+lanes only: another lane's stale address never peels it.
 
-**Divergence peel-off.**  Any lane that traps (pagefault), takes a
-different branch direction than the batch leader (the lowest live
-lane), selects a different multiway target, or raises a per-lane
-datapath error is peeled: it is re-executed **from scratch** on the
-scalar decoded :class:`~repro.sim.simulator.Simulator` and its result
-merged back in case order.  Replay-from-scratch (rather than handing
-over mid-run state) is deliberate: §2.1.5 trap service restores
-microregisters to their *microprogram-entry* values, which a lane
-peeled mid-run could not reconstruct — the scalar engine is the
-reference semantics, so a peeled lane is byte-identical to a serial
-run by construction.  Batch-wide events (budget exhaustion, a shared
-stack overflow, an unsupported word) peel every live lane the same
-way.
+**Peel-off.**  A lane that traps (pagefault), raises a per-lane
+datapath error, overflows or underflows its return stack, passes the
+cycle budget or starts from an invalid poke is peeled: it is
+re-executed **from scratch** on the scalar decoded
+:class:`~repro.sim.simulator.Simulator` and its result merged back in
+case order.  Replay-from-scratch (rather than handing over mid-run
+state) is deliberate: §2.1.5 trap service restores microregisters to
+their *microprogram-entry* values, which a lane peeled mid-run could
+not reconstruct — the scalar engine is the reference semantics, so a
+peeled lane is byte-identical to a serial run by construction.  A word
+the lane backend cannot lower (a dynamic register, ``setblk``) or an
+unforeseen error peels every lane the same way.
 
 **Admission.**  Batching only engages when
 :func:`repro.sim.admission.fast_path_refusal` admits
@@ -154,7 +163,13 @@ class _DenseLaneView:
         self.size = size
 
     def dump_words(self, base: int, count: int) -> list[int]:
-        return [int(v) for v in self._row[base:base + count]]
+        """Exactly ``count`` words, zero outside ``[0, size)`` — as
+        :meth:`MainMemory.dump_words` reads them."""
+        words = [0] * max(count, 0)
+        low, high = max(base, 0), min(base + count, self.size)
+        if low < high:
+            words[low - base:high - base] = self._row[low:high].tolist()
+        return words
 
 
 # ----------------------------------------------------------------------
@@ -176,16 +191,25 @@ class _DenseMemory:
         self.words = _np.zeros((state.n, size), dtype=_np.int64)
         self.rows = _np.arange(state.n)
 
-    def load(self, lane: int, base: int, values) -> None:
-        for offset, value in enumerate(values):
-            if not 0 <= base + offset < self.size:
-                raise SimulationError("load_words out of range")
-            self.words[lane, base + offset] = value
+    def load(self, lane: int, image: dict[int, int]) -> None:
+        """One lane's initial image, in one vectorised store.  Anything
+        but int64 addresses and words is left to the scalar replay."""
+        if not image:
+            return
+        addrs = _np.array(list(image))
+        words = _np.array(list(image.values()))
+        if addrs.dtype.kind != "i" or words.dtype.kind != "i":
+            raise SimulationError("memory image is not int64 words")
+        if ((addrs < 0) | (addrs >= self.size)).any():
+            raise SimulationError("load_words out of range")
+        self.words[lane, addrs] = words
 
     def _clamp(self, addrs):
+        """Out-of-range addresses read and write word 0; only the
+        group's lanes peel for them."""
         bad = (addrs < 0) | (addrs >= self.size)
         if bad.any():
-            for lane in self.state.live_lanes():
+            for lane in self.state.group_lanes():
                 if bad[lane]:
                     self.state.peel(lane, "memory-range")
             addrs = _np.where(bad, 0, addrs)
@@ -196,12 +220,12 @@ class _DenseMemory:
 
     def write(self, addrs, values) -> None:
         addrs = self._clamp(addrs)
-        live = self.state.live_vec
-        rows = self.rows
-        # Peeled lanes must not commit: route their store to their own
-        # address but with the value already there (a no-op write).
-        current = self.words[rows, addrs]
-        self.words[rows, addrs] = _np.where(live == 1, values, current)
+        state = self.state
+        if state.masked:
+            group = state.group
+            self.words[group, addrs[group]] = values[group]
+        else:
+            self.words[self.rows, addrs] = values
 
     def lane_view(self, lane: int) -> _DenseLaneView:
         return _DenseLaneView(self.words[lane], self.size)
@@ -210,8 +234,8 @@ class _DenseMemory:
 class _LaneMemories:
     """Per-lane stores (:class:`MainMemory` or :class:`Scratchpad`).
 
-    Reads and writes loop over live lanes; a :class:`MicroTrap` or
-    address error in one lane peels that lane and leaves the rest in
+    Reads and writes loop over the group's lanes; a :class:`MicroTrap`
+    or address error in one lane peels that lane and leaves the rest in
     lockstep.
     """
 
@@ -222,13 +246,15 @@ class _LaneMemories:
         self.memories = memories
         self.reason = reason
 
-    def load(self, lane: int, base: int, values) -> None:
-        self.memories[lane].load_words(base, list(values))
+    def load(self, lane: int, image: dict[int, int]) -> None:
+        memory = self.memories[lane]
+        for address, value in image.items():
+            memory.load_words(address, [value])
 
     def read(self, addrs):
         state = self.state
         values = [0] * state.n
-        for lane in state.live_lanes():
+        for lane in state.group_lanes():
             try:
                 values[lane] = self.memories[lane].read(int(addrs[lane]))
             except (MicroTrap, SimulationError):
@@ -236,7 +262,7 @@ class _LaneMemories:
         return _vector(values)
 
     def write(self, addrs, values) -> None:
-        for lane in self.state.live_lanes():
+        for lane in self.state.group_lanes():
             try:
                 self.memories[lane].write(
                     int(addrs[lane]), int(values[lane])
@@ -246,7 +272,7 @@ class _LaneMemories:
 
     def touch(self, addrs, values) -> None:
         """The decoded engine's write-allocate check, per lane."""
-        for lane in self.state.live_lanes():
+        for lane in self.state.group_lanes():
             address = int(addrs[lane])
             memory = self.memories[lane]
             if not memory.is_mapped(address):
@@ -263,26 +289,48 @@ class _LaneMemories:
 # Batched state
 # ----------------------------------------------------------------------
 class _PeelAll(Exception):
-    """Batch-wide divergence: every live lane goes to the scalar path."""
+    """Batch-wide divergence: every lane goes to the scalar path."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
 
 
+class _GroupStore(dict):
+    """A register or flag store for steps whose group is not every lane
+    still in the batch: a stored lane vector changes only the lanes
+    ``mask`` selects, and every other lane keeps its value."""
+
+    __slots__ = ("mask",)
+
+    def __setitem__(self, name, value):
+        dict.__setitem__(self, name, _np.where(self.mask, value, self[name]))
+
+    def update(self, writes):
+        for name, value in writes.items():
+            self[name] = value
+
+
 class BatchedState:
-    """N cases as struct-of-arrays, advanced in lockstep.
+    """N cases as struct-of-arrays, advanced in lockstep by groups.
 
     ``registers``/``flags`` map names to lane vectors; ``memory`` and
     ``scratchpad`` read and write lane vectors through the scalar
     stores' ``read``/``write`` surface, so the decoded engine's memory
-    and scratchpad steps run on them unchanged.  The microsequencer
-    (``upc``, ``cycles``, ``micro_stack``, ``halted``) is *shared* —
-    the lockstep invariant — and ``live``/``live_vec``/``peeled`` track
-    which lanes are still following the batch leader.
+    and scratchpad steps run on them unchanged.  The microsequencer is
+    per lane: ``upcs``, ``stacks`` and ``exit_values``, plus the
+    instruction and cycle counters :meth:`retire` keeps for a program
+    of ``words`` control words entered at ``entry``.  A step runs
+    one address (``pc``) for one ``group`` of lanes; the shared
+    sequencing closures write ``upc``, ``halted`` and ``exit_value``,
+    which act on that group only.  ``masked`` is set while the group is
+    not every lane still in the batch (finished lanes included); the
+    register and flag stores are then :class:`_GroupStore`.
+    ``live``/``peeled`` track which lanes are still in the batch.
     """
 
-    def __init__(self, machine, n: int, *, paging: bool = False):
+    def __init__(self, machine, n: int, *, paging: bool = False,
+                 entry: int = 0, words: int = 0):
         self.machine = machine
         self.n = n
         self.registers = {
@@ -291,7 +339,7 @@ class BatchedState:
         }
         self.flags = {flag: _full(n, 0) for flag in machine.flags}
         self.live = [True] * n
-        self.live_vec = _full(n, 1)
+        self.live_count = n
         self.peeled: dict[int, str] = {}
         # The stores call back into the state to peel lanes.  A weak
         # reference keeps that from forming a cycle, which would hold
@@ -306,45 +354,215 @@ class BatchedState:
         self.scratchpad = _LaneMemories(lanes, [
             Scratchpad(machine.scratchpad_size) for _ in range(n)
         ], "scratchpad")
-        self.upc = 0
-        self.cycles = 0
-        self.micro_stack: list[int] = []
-        self.halted = False
-        self.exit_value = None
+        # Per-lane microsequencer, every lane at ``entry`` of a
+        # ``words``-long program.
+        self.upcs = _full(n, entry)
+        self.stacks: list[list[int]] = [[] for _ in range(n)]
+        self.exited = [False] * n
+        self.exit_values: list[int | None] = [None] * n
+        # Counters: steps per (address, lane) and cycles per lane for
+        # masked steps; steps per address and their cycles for the
+        # unmasked ones, which every lane still in the batch took.
+        self.visits = _np.zeros((words, n), dtype=_np.int64)
+        self.cycles = _full(n, 0)
+        self.shared = [0] * words
+        self.shared_cycles = 0
+        # The step being run: its address and lanes, where the whole
+        # group goes next (None once it split or finished), and
+        # whether a lane left.  Lanes waiting elsewhere stay put, so
+        # the last schedule's view of them holds until the group
+        # moves: how many wait, at which addresses (``held``), and the
+        # largest waiting group's size and lowest address.
+        self.pc = entry
+        self.group = _np.arange(n)
+        self.runnable = self.group
+        self.masked = False
+        self.next_pc: int | None = None
+        self.regroup = True
+        self.size = self.waiting = self.top = self.rival = 0
+        self.held: set[int] = set()
 
     # -- lane management -------------------------------------------------
     def live_lanes(self) -> list[int]:
         return [lane for lane in range(self.n) if self.live[lane]]
 
-    def any_live(self) -> bool:
-        return any(self.live)
+    def group_lanes(self) -> list[int]:
+        """The current group's lanes still in the batch."""
+        live = self.live
+        return [lane for lane in self.group.tolist() if live[lane]]
 
     def peel(self, lane: int, reason: str) -> None:
         if self.live[lane]:
             self.live[lane] = False
-            self.live_vec[lane] = 0
+            self.live_count -= 1
             self.peeled[lane] = reason
+            self.regroup = True
 
     def peel_all(self, reason: str) -> None:
-        for lane in self.live_lanes():
+        for lane in range(self.n):
             self.peel(lane, reason)
 
-    # -- lockstep sequencing ---------------------------------------------
-    def settle(self, targets, reason: str) -> None:
-        """Follow the batch leader; peel lanes that disagree.
+    # -- scheduling ------------------------------------------------------
+    def schedule(self) -> bool:
+        """Choose the next step's address and group; False once no
+        lane is left to run.
 
-        ``targets`` is a per-lane vector of next control-store
-        addresses; the leader is the lowest live lane.
+        The step runs the address most runnable lanes hold, lowest on
+        a tie.  A group that moved as one with nobody gone keeps
+        running unscheduled while that is still its address: nobody
+        waits, or it met no waiting lane and still outnumbers every
+        waiting group (or ties one from a lower address).
         """
-        lanes = self.live_lanes()
-        leader = int(targets[lanes[0]])
-        stray = (1 - (targets == leader) * 1) * self.live_vec
-        if stray.any():
-            for lane in lanes[1:]:
-                if stray[lane]:
-                    self.peel(lane, reason)
-        self.upc = leader
+        target, self.next_pc = self.next_pc, None
+        if target is not None:
+            if not self.regroup and (not self.waiting or (
+                target not in self.held
+                and (self.size, self.rival) > (self.top, target)
+            )):
+                self.pc = target
+                return True
+            self.upcs[self.group] = target
+        if self.regroup:
+            self.regroup = False
+            self.runnable = _np.array(
+                [lane for lane in range(self.n)
+                 if self.live[lane] and not self.exited[lane]],
+                dtype=_np.intp,
+            )
+        run = self.runnable
+        if not len(run):
+            return False
+        pcs = self.upcs[run]
+        counts = _np.bincount(pcs)
+        self.pc = int(counts.argmax())
+        self.size = int(counts[self.pc])
+        self.waiting = len(run) - self.size
+        self.group = run
+        if self.waiting:
+            self.group = run[pcs == self.pc]
+            counts[self.pc] = 0
+            self.rival = int(counts.argmax())
+            self.top = int(counts[self.rival])
+            self.held = set(_np.flatnonzero(counts).tolist())
+        self.masked = self.size != self.live_count
+        if self.masked:
+            mask = _np.zeros(self.n, dtype=bool)
+            mask[self.group] = True
+            if type(self.registers) is dict:
+                self.registers = _GroupStore(self.registers)
+                self.flags = _GroupStore(self.flags)
+            self.registers.mask = self.flags.mask = self.mask = mask
+        elif type(self.registers) is not dict:
+            self.registers = dict(self.registers)
+            self.flags = dict(self.flags)
+        return True
 
+    def retire(self, pc: int, cycles: int) -> None:
+        """Count one executed step for its group."""
+        if self.masked:
+            self.visits[pc] += self.mask
+            self.cycles[self.group] += cycles
+        else:
+            self.shared[pc] += 1
+            self.shared_cycles += cycles
+
+    def over_budget(self, max_cycles: int) -> bool:
+        """Peel the group's lanes whose own count already passed
+        ``max_cycles`` — where a scalar run raises — True if any did."""
+        over = self.cycles[self.group] > max_cycles - self.shared_cycles
+        if not over.any():
+            return False
+        for lane in self.group[over].tolist():
+            self.peel(lane, "budget")
+        self.next_pc = self.pc  # the rest of the group has not moved
+        return True
+
+    def run_results(self) -> dict[int, RunResult]:
+        """Each finished lane's counters, as a fresh scalar decoded run
+        reports them: its plan-cache misses are the distinct addresses
+        it executed, its hits the rest of its instructions."""
+        cycles = (self.cycles + self.shared_cycles).tolist()
+        steps = self.visits + _vector(self.shared)[:, None]
+        instructions = steps.sum(axis=0).tolist()
+        misses = _np.count_nonzero(steps, axis=0).tolist()
+        return {
+            lane: RunResult(
+                cycles=cycles[lane],
+                instructions=instructions[lane],
+                traps=0,
+                interrupts_serviced=0,
+                interrupt_wait_cycles=0,
+                exit_value=self.exit_values[lane],
+                plan_cache={
+                    "hits": instructions[lane] - misses[lane],
+                    "misses": misses[lane],
+                    "invalidations": 0,
+                },
+            )
+            for lane in self.live_lanes()
+        }
+
+    # -- the sequencing surface, scoped to the group ---------------------
+    @property
+    def upc(self) -> int:
+        return self.pc
+
+    @upc.setter
+    def upc(self, target) -> None:
+        """Send the group to ``target``: one address, or a lane vector
+        of them (a branch, multiway or return), which splits the group
+        when its lanes disagree."""
+        if isinstance(target, int):
+            self.next_pc = target
+            return
+        lanes = target[self.group]
+        self.upcs[self.group] = lanes
+        first = lanes[0]
+        if (lanes == first).all():
+            self.next_pc = int(first)
+
+    @property
+    def halted(self) -> bool:
+        return not any(
+            live and not exited for live, exited in zip(self.live, self.exited)
+        )
+
+    @halted.setter
+    def halted(self, value: bool) -> None:
+        """EXIT: the group's lanes finish and keep their final state."""
+        for lane in self.group_lanes():
+            self.exited[lane] = value
+        self.regroup = True
+
+    @property
+    def exit_value(self) -> list[int | None]:
+        return self.exit_values
+
+    @exit_value.setter
+    def exit_value(self, value) -> None:
+        for lane in self.group_lanes():
+            self.exit_values[lane] = _lane(value, lane)
+
+    def push_return(self, address: int) -> None:
+        depth = self.machine.micro_stack_depth
+        for lane in self.group_lanes():
+            stack = self.stacks[lane]
+            if len(stack) >= depth:
+                self.peel(lane, "stack-overflow")
+            else:
+                stack.append(address)
+
+    def pop_return(self):
+        targets = self.upcs.copy()
+        for lane in self.group_lanes():
+            stack = self.stacks[lane]
+            if stack:
+                targets[lane] = stack.pop()
+            else:
+                self.peel(lane, "stack-underflow")
+        return targets
+
+    # -- register commits ------------------------------------------------
     def poke_constant(self, name: str, value: int) -> None:
         register = self.machine.registers[name]
         self.registers[name] = _full(self.n, value & register.mask)
@@ -356,17 +574,6 @@ class BatchedState:
         if PLANT_LANE_XOR:
             committed[0] = int(committed[0]) ^ PLANT_LANE_XOR
         self.registers[name] = committed
-
-    def push_return(self, address: int) -> None:
-        if len(self.micro_stack) >= self.machine.micro_stack_depth:
-            # Shared stack: every lane overflows identically.
-            raise _PeelAll("stack-overflow")
-        self.micro_stack.append(address)
-
-    def pop_return(self) -> int:
-        if not self.micro_stack:
-            raise _PeelAll("stack-underflow")
-        return self.micro_stack.pop()
 
     def init_register(self, lane: int, name: str, value: int) -> None:
         """Loader-level per-lane poke with ``write_reg`` checking."""
@@ -454,7 +661,7 @@ class _LaneSteps:
         """:func:`evaluate` lane by lane, for ops without a table entry.
 
         Returns an :class:`OpResult` of lane vectors.  The loop costs
-        one scalar evaluation per live lane — same as the scalar
+        one scalar evaluation per group lane — same as the scalar
         engine — but these ops are rare in generated and compiled code;
         the table ops stay fully vectorised.  A per-lane
         :class:`SimulationError` (e.g. a negative shift count) peels
@@ -464,7 +671,7 @@ class _LaneSteps:
         values = [0] * b.n
         flag_cols: dict[str, list[int]] = {}
         wrote_value = False
-        for lane in b.live_lanes():
+        for lane in b.group_lanes():
             try:
                 result = evaluate(
                     name,
@@ -492,8 +699,7 @@ class _LaneSteps:
             if flag_vec is None:
                 b.upc = taken if expected == 0 else not_taken
                 return
-            t = (flag_vec == expected) * 1
-            b.settle(t * taken + (1 - t) * not_taken, "branch")
+            b.upc = _np.where(flag_vec == expected, taken, not_taken)
 
         return seq_branch
 
@@ -508,7 +714,7 @@ class _LaneSteps:
 
         def seq_multiway(b):
             hits = (read_value(b)[:, None] & care) == bits
-            b.settle(targets[hits.argmax(axis=1)], "multiway")
+            b.upc = targets[hits.argmax(axis=1)]
 
         return seq_multiway
 
@@ -528,7 +734,8 @@ def _run_lockstep(
     store = ControlStore(machine)
     resident = store.load(loaded)
     n = len(cases)
-    b = BatchedState(machine, n, paging=paging)
+    b = BatchedState(machine, n, paging=paging, entry=resident.entry,
+                     words=len(loaded))
     for lane, case in enumerate(cases):
         # A lane whose initial pokes are invalid (unknown register,
         # windowed name, out-of-range load) peels to the scalar path,
@@ -538,35 +745,31 @@ def _run_lockstep(
         try:
             for name, value in case.registers.items():
                 b.init_register(lane, name, value)
-            for address, value in case.memory.items():
-                b.memory.load(lane, address, [value])
+            b.memory.load(lane, case.memory)
         except (MicroTrap, SimulationError):
             b.peel(lane, "init")
     for name, value in resident.program.constants.items():
         b.poke_constant(name, value)
-    b.upc = resident.entry
 
     steps = _LaneSteps(b)
     plans: dict[int, ExecutionPlan] = {}
-    decodes = 0
-    instructions = 0
+    # Cycles of every step run: no lane's own count can be higher, so
+    # the per-lane budget check waits until this passes the budget.
+    spent = 0
     try:
-        while not b.halted and b.any_live():
-            if b.cycles > max_cycles:
+        while b.schedule():
+            pc = b.pc
+            if spent > max_cycles and b.over_budget(max_cycles):
                 # Scalar runs raise SimulationLimitError at exactly
                 # this microinstruction boundary; the replay does too.
-                b.peel_all("budget")
-                break
-            plan = plans.get(b.upc)
+                continue
+            plan = plans.get(pc)
             if plan is None:
-                plan = build_plan(steps, store.fetch(b.upc), resident, b.upc)
-                plans[b.upc] = plan
-                decodes += 1
+                plan = build_plan(steps, store.fetch(pc), resident, pc)
+                plans[pc] = plan
             plan.execute(b)
-            if not b.any_live():
-                break
-            b.cycles += plan.cycles
-            instructions += 1
+            spent += plan.cycles
+            b.retire(pc, plan.cycles)
             plan.sequence(b)
     except _PeelAll as stop:
         b.peel_all(stop.reason)
@@ -577,31 +780,10 @@ def _run_lockstep(
         b.peel_all("error")
 
     outcomes: list[LaneOutcome | None] = [None] * n
-    if not b.any_live():
-        return outcomes
-    # Per-run plan-cache counters, synthesised to match what a fresh
-    # scalar simulator reports: misses are the distinct addresses
-    # decoded, hits are the remaining executed microinstructions.
-    plan_counters = {
-        "hits": max(0, instructions - decodes),
-        "misses": decodes,
-        "invalidations": 0,
-    }
-    for lane in b.live_lanes():
-        exit_value = (
-            int(b.exit_value[lane]) if b.exit_value is not None else None
-        )
+    for lane, result in b.run_results().items():
         outcomes[lane] = LaneOutcome(
             machine,
-            result=RunResult(
-                cycles=b.cycles,
-                instructions=instructions,
-                traps=0,
-                interrupts_serviced=0,
-                interrupt_wait_cycles=0,
-                exit_value=exit_value,
-                plan_cache=dict(plan_counters),
-            ),
+            result=result,
             error=None,
             registers={
                 name: int(vec[lane]) for name, vec in b.registers.items()

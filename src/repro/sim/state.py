@@ -6,8 +6,8 @@ trap and interrupt bookkeeping that :mod:`repro.sim.simulator` and
 :mod:`repro.sim.decode` read and write.  :class:`MachineState` is the
 scalar implementation (one case, plain dicts); the batched
 struct-of-arrays state in :mod:`repro.sim.batch` drives N cases in
-lockstep behind the same step semantics and peels divergent lanes
-back onto a scalar :class:`MachineState`.  The protocol is
+lockstep behind the same step semantics and peels lanes that trap or
+fault back onto a scalar :class:`MachineState`.  The protocol is
 structural — implementations never subclass it, so the scalar hot
 loop keeps its plain-dataclass attribute access.
 """

@@ -111,9 +111,10 @@ class TestAxes:
         import repro.sim.batch as batch
 
         # Memory-free cases keep their lanes batched (a paging trap
-        # would peel them out of the plant's reach), but a corrupted
-        # leader can still derail its own control flow into a full
-        # peel — so sweep seeds until one corruption stays data-only.
+        # would peel them out of the plant's reach), and a corrupted
+        # lane 0 that derails its own control flow stays batched too,
+        # but a flipped bit can still be masked before it shows — so
+        # sweep seeds until one corruption is observable.
         divergence = caught = None
         batch.PLANT_LANE_XOR = 1
         try:

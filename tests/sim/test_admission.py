@@ -10,8 +10,9 @@ actually ran:
   misses when admitted, zero (or no counters) when refused;
 * plan lookup — ``PlanCache.addr_plans`` is consulted only when
   admitted;
-* lockstep — on lanes that diverge, an admitted ``run_cases`` peels
-  some lanes, a refused one returns every lane unpeeled with the
+* lockstep — on lanes that diverge, an admitted ``run_cases`` enters
+  ``_run_lockstep``, which carries every lane to EXIT itself; a
+  refused one never enters it and returns every lane unpeeled with the
   scalar engine's plan-cache counters;
 * serve — ``/metrics`` exports the code as its ``reason`` label.
 """
@@ -178,7 +179,16 @@ def test_run_cases_engages_what_the_table_admits(code, monkeypatch):
     machine, result = mul_program(machine_name)
     shape = apply_code(code, BASELINE[LOCKSTEP], monkeypatch)
     mapping = result.allocation.mapping
-    # Different trip counts: admitted lanes diverge and peel.
+    driven = []
+    run_lockstep = batch._run_lockstep
+
+    def spy(*args, **kwargs):
+        lanes = run_lockstep(*args, **kwargs)
+        driven.append(lanes)
+        return lanes
+
+    monkeypatch.setattr(batch, "_run_lockstep", spy)
+    # Different trip counts: admitted lanes diverge and reconverge.
     cases = [BatchCase(registers={mapping["a"]: 2, mapping["n"]: n})
              for n in (3, 5, 5, 9)]
     outcomes = run_cases(
@@ -187,8 +197,11 @@ def test_run_cases_engages_what_the_table_admits(code, monkeypatch):
     )
     assert [o.result.exit_value for o in outcomes] == [6, 10, 10, 18]
     if admitted:
-        assert any(o.peeled for o in outcomes)
+        (lanes,) = driven
+        assert all(lane is not None for lane in lanes)
+        assert not any(o.peeled for o in outcomes)
         return
+    assert not driven
     for case, outcome in zip(cases, outcomes):
         assert not outcome.peeled
         store = ControlStore(machine)

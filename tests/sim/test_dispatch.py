@@ -138,25 +138,13 @@ LANE_VALUES = (0b0000, 0b0001, 0b0011, 0b0110, 0b1001, 0b1000,
                0b0100, 0b1111, 0b0010, 0x7FF0) * 2
 
 
-def old_per_lane_targets(b, values, masks):
-    """The per-lane loop ``_LaneSteps.multiway`` used to run."""
-    targets = [0] * b.n
-    for lane in b.live_lanes():
-        value = int(values[lane])
-        for i, mask in enumerate(masks):
-            if MaskCase(mask, "t").matches(value):
-                targets[lane] = 100 + i
-                break
-        else:
-            targets[lane] = DEFAULT
-    return targets
-
-
 def lane_state(values, dead):
+    """A batch at one address whose group is its live lanes."""
     b = BatchedState(get_machine("HM1"), len(values))
     b.registers["R1"] = _vector(values)
     for lane in dead:
         b.peel(lane, "init")
+    assert b.schedule()
     return b
 
 
@@ -165,40 +153,31 @@ def lane_state(values, dead):
 @pytest.mark.parametrize("rotate", range(ROTATIONS))
 @pytest.mark.parametrize("dead", [(), (0, 4)], ids=["all-live", "peeled"])
 def test_lockstep_multiway_equals_the_per_lane_loop(masks, rotate, dead):
-    """Same targets for every live lane, same peels, same reasons, same
-    leader — whichever arm the leader takes."""
+    """Each live lane's next address is its own first-match arm, no
+    lane peels, and the next step runs the arm most lanes took, with
+    exactly those lanes."""
     values = LANE_VALUES[rotate:] + LANE_VALUES[:rotate]
-    new = lane_state(values, dead)
-    settled = []
-    settle = new.settle
-    new.settle = lambda targets, reason: (
-        settled.append((targets, reason)), settle(targets, reason)
-    )
-    seq = _LaneSteps(new).multiway(
+    b = lane_state(values, dead)
+    live = b.live_lanes()
+    seq = _LaneSteps(b).multiway(
         lambda b: b.registers["R1"], compiled_arms(masks), DEFAULT
     )
-    seq(new)
+    seq(b)
 
-    old = lane_state(values, dead)
-    live = old.live_lanes()
-    want = old_per_lane_targets(old, values, masks)
-    old.settle(_vector(want), "multiway")
-
-    (targets, reason), = settled
-    assert reason == "multiway"
-    assert [int(targets[lane]) for lane in live] == [
-        want[lane] for lane in live
-    ]
-    assert new.upc == old.upc
-    assert new.peeled == old.peeled
-    assert new.live == old.live
+    want = {lane: first_match(masks, values[lane]) for lane in live}
+    assert {lane: int(b.upcs[lane]) for lane in live} == want
+    assert b.peeled == dict.fromkeys(dead, "init")
+    assert b.live_lanes() == live
+    assert b.schedule()
+    taken = sorted(want.values())
+    top = max(map(taken.count, taken))
+    assert b.pc == min(t for t in taken if taken.count(t) == top)
+    assert b.group.tolist() == [lane for lane in live if want[lane] == b.pc]
     if masks:
-        hit = {want[lane] for lane in range(len(values)) if lane not in dead}
-        assert hit == {100 + i for i in range(len(masks))} | {DEFAULT}
+        assert set(taken) == {100 + i for i in range(len(masks))} | {DEFAULT}
+        assert b.masked and b.waiting == len(live) - top
     else:
-        assert new.upc == DEFAULT and new.peeled == dict.fromkeys(
-            dead, "init"
-        )
+        assert b.pc == DEFAULT and not b.masked and b.waiting == 0
 
 
 # ----------------------------------------------------------------------
