@@ -60,7 +60,16 @@ def machine_fingerprint(machine) -> str:
     and read-only flags), functional-unit timing, the op table and
     the control-word format.  Notes and other report-only attributes
     are deliberately excluded.
+
+    A machine made read-only by
+    :meth:`~repro.machine.machine.MicroArchitecture.freeze` carries the
+    digest taken when it was frozen, which is returned as is; any
+    other machine is digested afresh on every call, because its
+    description may have changed since the last one.
     """
+    cached = getattr(machine, "_fingerprint", None)
+    if cached is not None:
+        return cached
     files = machine.registers
     parts: list[str] = [
         machine.name,

@@ -780,8 +780,9 @@ def build_parser() -> argparse.ArgumentParser:
              "schedules) — tests and CI smoke only")
     serve_parser.add_argument(
         "--batch-window-ms", type=float, default=5.0, metavar="MS",
-        help="gather window for cross-request run micro-batching "
-             "(default 5; 0 batches only what is already queued)")
+        help="longest a batchable /run waits for lane-mates (default 5; "
+             "0 batches only what is already queued); a lone run whose "
+             "program has nothing in flight never waits")
     serve_parser.add_argument(
         "--batch-max-lanes", type=int, default=8, metavar="N",
         help="max lockstep lanes per batched dispatch "

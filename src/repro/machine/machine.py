@@ -42,6 +42,10 @@ class MicroArchitecture:
         has_multiway_branch: Whether the sequencer supports mask-table
             dispatch (YALLL's multiway branch, §2.2.4).
         notes: Free-form description used in reports.
+
+    A built description is mutable, so ablations can flip a knob on
+    their own copy.  :meth:`freeze` makes one instance read-only for
+    callers that share it and memoise its fingerprint.
     """
 
     name: str
@@ -64,6 +68,39 @@ class MicroArchitecture:
     datapath: "object | None" = None
     notes: str = ""
     _validated: bool = dataclass_field(default=False, repr=False)
+    #: Set by :meth:`freeze`; neither takes part in equality or repr.
+    _frozen: bool = dataclass_field(
+        default=False, init=False, repr=False, compare=False
+    )
+    _fingerprint: str | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __setattr__(self, name: str, value) -> None:
+        if self.__dict__.get("_frozen"):
+            raise MachineError(
+                f"{self.name}: machine is frozen; cannot set {name!r} "
+                f"(build a fresh one to change it)"
+            )
+        object.__setattr__(self, name, value)
+
+    def freeze(self) -> "MicroArchitecture":
+        """Make this instance read-only and cache its fingerprint.
+
+        Afterwards assigning any attribute raises :class:`MachineError`,
+        and :func:`repro.cache.machine_fingerprint` returns the digest
+        taken here instead of recomputing it.  The guard covers the
+        description's own attributes; its register file, unit and op
+        tables are shared with every holder and must not be edited
+        either.  Returns ``self`` so a builder call can be frozen in
+        one expression.
+        """
+        from repro.cache import machine_fingerprint
+
+        if not self._frozen:
+            self._fingerprint = machine_fingerprint(self)
+            self._frozen = True
+        return self
 
     # ------------------------------------------------------------------
     # Lookup helpers
@@ -204,7 +241,8 @@ class MicroArchitecture:
                     )
         if self.datapath is not None:
             self.datapath.validate(set(self.registers.names()))
-        self._validated = True
+        if not self._validated:  # a frozen built machine refuses writes
+            self._validated = True
 
     # ------------------------------------------------------------------
     # Reporting

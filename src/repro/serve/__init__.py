@@ -29,7 +29,14 @@ built robustness-first:
   one lockstep struct-of-arrays batch (:mod:`repro.sim.batch`) inside
   a single worker, with results demultiplexed back per request —
   byte-identical to scalar execution, admitted by the simulator's
-  one fast-path rule (:mod:`repro.sim.admission`).
+  one fast-path rule (:mod:`repro.sim.admission`).  A group waits
+  for lane-mates only while one is queued or a run of its group is
+  in flight (Nagle's rule, capped by the window), so a lone ``/run``
+  never waits.
+* **One machine per name** — the service and its workers share one
+  frozen description per machine name
+  (:func:`~repro.serve.jobs._machine`), built and fingerprinted once
+  per process instead of once per request.
 * **Graceful drain** — ``SIGTERM`` stops admission, finishes
   in-flight work, then exits; ``/healthz`` and ``/metrics`` report
   queue depths, breaker states, worker restarts and the campaign

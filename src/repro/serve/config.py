@@ -8,6 +8,7 @@ only means something when the bounds are real.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -53,9 +54,13 @@ class ServeConfig:
         collect_metrics: Fold every campaign's rollup into the
             service-wide :class:`~repro.obs.aggregate.CampaignMetrics`
             exposed at ``/metrics``.
-        batch_window_ms: How long a queued batchable ``/run`` may
-            wait for compatible lane-mates before it dispatches
-            anyway.  0 disables gathering (still batches whatever is
+        batch_window_ms: The longest a queued batchable ``/run``
+            may wait for compatible lane-mates before it dispatches
+            anyway.  It waits only while a lane-mate is already queued
+            or a run of the same batch group is in flight (Nagle's
+            rule, capped by this window): a lone run with nothing of
+            its group in flight goes to an idle worker at once.  0
+            disables gathering (still batches whatever is
             simultaneously queued).
         batch_max_lanes: Most lanes one lockstep dispatch may carry;
             1 disables cross-request batching entirely.
@@ -90,6 +95,10 @@ class ServeConfig:
             raise ValueError("serve needs at least one worker")
         if self.batch_max_lanes < 1:
             raise ValueError("batch_max_lanes must be >= 1")
+        for name in ("batch_window_ms", "default_deadline_s",
+                     "max_deadline_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.batch_window_ms < 0:
             raise ValueError("batch_window_ms must be >= 0")
         for name in ("compile", "run", "campaign"):

@@ -54,12 +54,10 @@ def job_key(job: dict) -> str:
     """
     import hashlib
 
-    from repro.registry import build_machine
-
     try:
-        machine = build_machine(job.get("machine", "HM1"))
         base = compile_key(
-            job.get("source", ""), job.get("lang", ""), machine,
+            job.get("source", ""), job.get("lang", ""),
+            _machine(job.get("machine", "HM1")),
             job.get("options") or None,
         )
     except Exception:
@@ -131,10 +129,23 @@ def lockstep_refusal(job: dict, *, lanes: int) -> str | None:
 
 @functools.lru_cache(maxsize=None)
 def _machine(name: str):
-    """One read-only machine description per name, for admission."""
+    """The one frozen machine description per name in this process.
+
+    :func:`job_key`, :func:`lockstep_refusal` and every worker-side
+    compile, run and campaign take their machine from here, so a
+    serve process builds each description, and digests its
+    :func:`~repro.cache.machine_fingerprint`, once (workers inherit
+    the parent's at fork).  Sharing one instance also keeps each
+    cached instruction's simulator memo, which is keyed by machine
+    identity, warm across requests.  The instance is frozen
+    (:meth:`~repro.machine.machine.MicroArchitecture.freeze`) because
+    its cached fingerprint is only right while nothing changes it;
+    code that needs a variant builds its own with
+    :func:`repro.registry.build_machine`.
+    """
     from repro.registry import build_machine
 
-    return build_machine(name)
+    return build_machine(name).freeze()
 
 
 def batch_group_key(job: dict) -> str:
@@ -190,9 +201,9 @@ def _chaos_kill(job: dict, attempt: int) -> None:
 
 
 def _compile(job: dict, cache: CompileCache):
-    from repro.registry import build_machine, get_language
+    from repro.registry import get_language
 
-    machine = build_machine(job.get("machine", "HM1"))
+    machine = _machine(job.get("machine", "HM1"))
     options = dict(job.get("options") or {})
     result = get_language(job["lang"]).compile(
         job["source"], machine, cache=cache, **options
@@ -259,11 +270,9 @@ def _run_response(job: dict, cache: CompileCache, budget_s) -> dict:
 
 def _campaign_response(job: dict, cache: CompileCache, budget_s) -> dict:
     from repro.faults.campaign import run_campaign
-    from repro.registry import build_machine
 
-    machine = build_machine(job.get("machine", "HM1"))
     campaign = run_campaign(
-        job["source"], job["lang"], machine,
+        job["source"], job["lang"], _machine(job.get("machine", "HM1")),
         n=int(job.get("n", 25)),
         seed=int(job.get("seed", 7)),
         restart_safe=bool(job.get("restart_safe", False)),

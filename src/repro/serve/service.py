@@ -28,10 +28,13 @@ coalesced requests.
 
 Past admission, compatible ``/run`` jobs micro-batch: the pool
 gathers queued runs sharing a batch group key (same program, machine,
-engine and options — only ``set``/``mem``/``show`` may differ) for up
-to ``batch_window_ms`` and dispatches them as one lockstep
-struct-of-arrays execution of up to ``batch_max_lanes`` lanes
-(:mod:`repro.sim.batch`).  Admission is
+engine and options — only ``set``/``mem``/``show`` may differ) and
+dispatches them as one lockstep struct-of-arrays execution of up to
+``batch_max_lanes`` lanes (:mod:`repro.sim.batch`).  Gathering
+follows Nagle's rule, capped by ``batch_window_ms``: a group waits
+only while a lane-mate is already queued or a run of its group is in
+flight, so a lone ``/run`` goes to an idle worker at once and only a
+burst pays for the window it fills.  Admission is
 :func:`~repro.serve.jobs.lockstep_refusal`: anything that cannot
 share a lane without observable divergence runs scalar, so
 per-request responses stay byte-identical to serial execution.
@@ -213,7 +216,9 @@ class ReproService:
                 400, "bad_deadline", f"deadline_s must be a number, "
                 f"got {raw!r}"
             ) from None
-        if deadline <= 0:
+        # ``not > 0`` also refuses NaN, which fails every comparison;
+        # +Infinity clamps to the cap below.
+        if not deadline > 0:
             raise HttpError(400, "bad_deadline",
                             "deadline_s must be positive")
         return min(deadline, self.config.max_deadline_s)

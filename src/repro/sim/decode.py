@@ -515,9 +515,9 @@ def sequencer(steps, meta: dict) -> Callable[[StateBackend], None]:
     """Compile one :func:`terminator_metadata` to a sequencing closure.
 
     Branch tests and multiway selection go through the backend; jumps,
-    calls, returns and exits are the same closure on every state (the
-    batched state's return stack peels the batch where the scalar one
-    raises).
+    calls, returns and exits are the same closure on every state (where
+    the scalar return stack raises on overflow or underflow, the
+    batched state's peels only the lane that hit it).
     """
     kind = meta["kind"]
     if kind == "jump":

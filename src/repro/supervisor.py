@@ -72,6 +72,7 @@ suites can assert exact behaviour:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import multiprocessing
 import os
@@ -240,7 +241,16 @@ def _worker_main(conn, handler) -> None:
     The only ways out of this loop are a shutdown sentinel (``None``),
     a closed pipe or process death — exactly the contract the
     supervisor's crash detection relies on.
+
+    The heap inherited at fork is frozen first (:func:`gc.freeze`):
+    it is the parent's state, which the worker mostly never touches.
+    The worker's collections then skip it, so a full collection scans
+    only what the worker built itself (for a serve worker, mostly its
+    compile cache) and stalls the job it lands on for that much less,
+    and the collector never writes to, and so never copies, the
+    parent's pages.
     """
+    gc.freeze()
     while True:
         try:
             lanes = conn.recv()
@@ -412,11 +422,15 @@ class WorkerPool:
         """Queue one job; resolves to a terminal structured outcome.
 
         ``batch_key`` marks the job gatherable: queued jobs sharing a
-        key may dispatch together as one lockstep batch (bounded by
-        ``batch_max_lanes``, after at most ``batch_window_s`` of
-        gathering).  Half-open breaker probes always run scalar — a
-        probe's strike semantics must not be chargeable to innocent
-        lane-mates.
+        key may dispatch together as one lockstep batch of at most
+        ``batch_max_lanes`` lanes.  Gathering follows Nagle's rule
+        (RFC 896), capped by ``batch_window_s``: a lone job whose key
+        has nothing in flight goes to an idle worker at once, and an
+        under-full group waits only while it has a queued lane-mate or
+        a dispatch of its key is in flight, and only until its oldest
+        job has waited the window.  Half-open breaker probes always
+        run scalar — a probe's strike semantics must not be chargeable
+        to innocent lane-mates.
         """
         future: Future = Future()
         now = self.clock()
@@ -538,38 +552,62 @@ class WorkerPool:
                 t for t in admissible
                 if t.batch_key == ticket.batch_key and t in self._pending
             ]
-            # Gather: hold an under-full group while its window is
-            # open and the pool is not draining — the whole point of
-            # the window is to let lane-mates arrive.
-            if (
-                len(group) < self.batch_max_lanes
-                and now - group[0].submitted < self.batch_window_s
-                and not self._closing
-            ):
+            if self._flush_at_locked(group, now) is not None:
                 held.add(ticket.batch_key)
                 continue
             self._send_lanes_locked(
                 idle.pop(), group[:self.batch_max_lanes], now
             )
 
+    def _flush_at_locked(self, group: list[_Ticket],
+                         now: float) -> float | None:
+        """When the held ``group`` of one batch key must leave, or None
+        when it leaves now.
+
+        Nagle's rule (RFC 896), capped by the window: an under-full
+        group waits only while a lane-mate is already queued or a
+        dispatch of its key is in flight (one sent earlier in the
+        same dispatch pass included), only until its oldest ticket has
+        waited ``batch_window_s``, and never while the pool closes.
+        A lone ticket whose key has nothing in flight leaves at once:
+        no lane-mate is on its way, so waiting would buy nothing.
+        """
+        if len(group) >= self.batch_max_lanes or self._closing:
+            return None
+        key = group[0].batch_key
+        if len(group) < 2 and not any(
+            w.inflight and w.inflight[0].batch_key == key
+            for w in self._workers
+        ):
+            return None
+        flush_at = min(t.submitted for t in group) + self.batch_window_s
+        return flush_at if flush_at > now else None
+
     def _next_wait_locked(self, now: float) -> float:
         """Seconds until the earliest timer the supervisor must honor.
 
-        Floored at 1 ms, well under the default 5 ms batch window, so
-        a due timer never busy-spins the supervisor and a gather
-        window, backoff or deadline fires on time rather than at the
-        floor.
+        A flush timer is armed only for groups
+        :meth:`_flush_at_locked` holds; a lone ticket behind an
+        in-flight dispatch of its key also leaves when that dispatch
+        returns, which wakes the supervisor through the worker's
+        pipe.  Floored at 1 ms, well
+        under the default 5 ms batch window, so a due timer never
+        busy-spins the supervisor and a gather window, backoff or
+        deadline fires on time rather than at the floor.
         """
         horizon = 0.5
+        groups: dict[str, list[_Ticket]] = {}
         for ticket in self._pending:
             if ticket.not_before > now:
                 horizon = min(horizon, ticket.not_before - now)
+            elif ticket.batch_key is not None:
+                groups.setdefault(ticket.batch_key, []).append(ticket)
             if ticket.deadline is not None and ticket.deadline > now:
                 horizon = min(horizon, ticket.deadline - now)
-            if ticket.batch_key is not None:
-                flush_at = ticket.submitted + self.batch_window_s
-                if flush_at > now:
-                    horizon = min(horizon, flush_at - now)
+        for group in groups.values():
+            flush_at = self._flush_at_locked(group, now)
+            if flush_at is not None:
+                horizon = min(horizon, flush_at - now)
         for worker in self._workers:
             for ticket in worker.inflight:
                 if ticket.deadline is not None:

@@ -7,6 +7,7 @@ observable only through the ``serve.batch`` counters and obs spans.
 """
 
 import functools
+import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,13 +47,36 @@ def mul_job(a: int, n: int = 3, **extra) -> dict:
     }
 
 
+#: A job that holds its worker until the test creates the gate file.
+GATE_JOB = {"op": "gate"}
+
+
+def gated_lanes(lanes, *, gate: str, cache_dir: str):
+    """:func:`execute_lanes`, except that :data:`GATE_JOB` waits for
+    ``gate`` to exist: a worker the test can keep busy, then free."""
+    ticket_id, job, _, _ = lanes[0]
+    if job == GATE_JOB:
+        while not os.path.exists(gate):
+            time.sleep(0.001)
+        return [(ticket_id, {"status": "ok"})]
+    return execute_lanes(lanes, cache_dir=cache_dir)
+
+
+def wait_until(condition, what: str, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.002)
+
+
 @pytest.fixture
 def make_pool(tmp_path):
     pools = []
 
     def _make(**kwargs):
         kwargs.setdefault("handler", functools.partial(
-            execute_lanes, cache_dir=str(tmp_path / "cache")))
+            gated_lanes, gate=str(tmp_path / "gate"),
+            cache_dir=str(tmp_path / "cache")))
         kwargs.setdefault("backoff", FAST_BACKOFF)
         pool = WorkerPool(kwargs.pop("n_workers", 1), **kwargs)
         pool.start()
@@ -74,13 +98,25 @@ def submit_batchable(pool, job, **kwargs):
     )
 
 
+def submit_lane_mates(pool, tmp_path, jobs, **kwargs) -> list:
+    """Queue ``jobs`` as lane-mates behind the one-worker pool's busy
+    worker, then free it: the whole group is queued before any of it
+    can dispatch, whatever the supervisor's timing."""
+    blocker = pool.submit(GATE_JOB, key="gate")
+    wait_until(lambda: pool.depth()["inflight"] == 1, "gate never ran")
+    futures = [submit_batchable(pool, job, **kwargs) for job in jobs]
+    assert pool.depth()["pending"] == len(jobs)
+    (tmp_path / "gate").touch()
+    assert blocker.result(timeout=60) == {"status": "ok"}
+    return futures
+
+
 class TestPoolBatching:
     def test_gathered_lanes_share_one_flush(self, make_pool, tmp_path):
         pool = make_pool(batch_window_s=0.5, batch_max_lanes=8)
-        futures = [
-            submit_batchable(pool, mul_job(a), deadline_s=30)
-            for a in range(8)
-        ]
+        futures = submit_lane_mates(
+            pool, tmp_path, [mul_job(a) for a in range(8)], deadline_s=30
+        )
         outcomes = [f.result(timeout=60) for f in futures]
         assert pool.stats.batch_flushes == 1
         assert pool.stats.batch_lanes == 8
@@ -135,12 +171,12 @@ class TestPoolBatching:
         # The add job must not have ridden in the mul batch.
         assert pool.stats.batch_lanes <= 2
 
-    def test_window_expiry_flushes_partial_group(self, make_pool):
+    def test_window_expiry_flushes_partial_group(self, make_pool,
+                                                 tmp_path):
         pool = make_pool(batch_window_s=0.05, batch_max_lanes=8)
-        futures = [
-            submit_batchable(pool, mul_job(a), deadline_s=30)
-            for a in range(2)
-        ]
+        futures = submit_lane_mates(
+            pool, tmp_path, [mul_job(a) for a in range(2)], deadline_s=30
+        )
         outcomes = [f.result(timeout=60) for f in futures]
         assert [o["status"] for o in outcomes] == ["ok", "ok"]
         # Two lanes were all that arrived inside the window; the group
@@ -150,15 +186,15 @@ class TestPoolBatching:
 
 
 class TestBatchSpans:
-    def test_gather_and_execute_spans_carry_lane_counts(self, make_pool):
+    def test_gather_and_execute_spans_carry_lane_counts(self, make_pool,
+                                                        tmp_path):
         tracer = Tracer()
         pool = make_pool(
             batch_window_s=0.3, batch_max_lanes=4, tracer=tracer
         )
-        futures = [
-            submit_batchable(pool, mul_job(a), deadline_s=30)
-            for a in range(4)
-        ]
+        futures = submit_lane_mates(
+            pool, tmp_path, [mul_job(a) for a in range(4)], deadline_s=30
+        )
         for future in futures:
             assert future.result(timeout=60)["status"] == "ok"
         by_name = {}
@@ -186,13 +222,9 @@ class TestChaosMidBatch:
         # Enough loop trips that the batch is still running when the
         # worker dies under it.
         jobs = [mul_job(a, n=30_000) for a in range(lanes)]
-        futures = [
-            submit_batchable(pool, job, deadline_s=120) for job in jobs
-        ]
-        deadline = time.monotonic() + 30
-        while pool.depth()["inflight"] < lanes:
-            assert time.monotonic() < deadline, "batch never dispatched"
-            time.sleep(0.002)
+        futures = submit_lane_mates(pool, tmp_path, jobs, deadline_s=120)
+        wait_until(lambda: pool.depth()["inflight"] == lanes,
+                   "batch never dispatched")
         pool._workers[0].process.kill()
         outcomes = [f.result(timeout=120) for f in futures]
         terminal = {"ok", "timeout", "error",

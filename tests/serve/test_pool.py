@@ -7,6 +7,7 @@ crash counts, retry outcomes and breaker states is exact.
 """
 
 import functools
+import gc
 import os
 import time
 from concurrent.futures import Future
@@ -53,6 +54,12 @@ def submit(pool, job, **kwargs) -> dict:
     return future.result(timeout=60)
 
 
+def frozen_count_lanes(lanes):
+    """Answer every lane with the worker's :func:`gc.get_freeze_count`."""
+    return [(ticket_id, {"status": "ok", "result": gc.get_freeze_count()})
+            for ticket_id, _, _, _ in lanes]
+
+
 class TestHappyPath:
     def test_run_job_resolves_ok(self, make_pool):
         pool = make_pool()
@@ -61,6 +68,14 @@ class TestHappyPath:
         assert outcome["result"]["exit_value"] == 5
         assert pool.stats.completed == 1
         assert pool.stats.crashes == 0
+
+    def test_worker_freezes_the_heap_it_inherits(self, make_pool):
+        pool = make_pool(handler=frozen_count_lanes)
+        outcome = pool.submit({}, key="freeze").result(timeout=60)
+        assert outcome["status"] == "ok"
+        assert outcome["result"] > 0
+        # Only the worker froze: the parent's heap stays collectable.
+        assert gc.get_freeze_count() == 0
 
     def test_submit_after_close_is_shutdown(self, make_pool):
         pool = make_pool()
@@ -233,29 +248,69 @@ class TestCloseRaces:
         assert pool._wake_r is None and pool._wake_w is None
 
 
-class TestWaitHorizon:
-    """The supervisor's sleep, on a fake clock (no worker starts)."""
+class StubWorker:
+    """A worker slot for fake-clock tests: logs what it is sent."""
+
+    def __init__(self, log: list) -> None:
+        self.inflight: list[_Ticket] = []
+        self.dispatched_at = 0.0
+        self.conn = self
+        self.log = log
+
+    def send(self, lanes) -> None:
+        self.log.append([ticket_id for ticket_id, *_ in lanes])
+
+
+class FakeClockPool:
+    """A never-started pool on a fake clock (no worker process runs)."""
+
+    #: A binary fraction, so window arithmetic on the clock is exact.
+    WINDOW_S = 1 / 128
 
     @pytest.fixture
     def pool(self):
         clock = FakeClock()
         clock.now = 100.0
-        pool = WorkerPool(1, handler=execute_lanes, batch_window_s=0.005,
-                          batch_max_lanes=8, clock=clock)
+        pool = WorkerPool(1, handler=execute_lanes,
+                          batch_window_s=self.WINDOW_S,
+                          batch_max_lanes=4, clock=clock)
         yield pool
         os.close(pool._wake_r)
         os.close(pool._wake_w)
 
-    def queue(self, pool, **fields):
-        pool._pending.append(_Ticket(
-            ticket_id=len(pool._pending), key="k", job={},
+    def queue(self, pool, **fields) -> _Ticket:
+        ticket = _Ticket(
+            ticket_id=pool._next_id, key="k", job={},
             future=Future(), deadline=None, submitted=pool.clock(),
             **fields,
-        ))
+        )
+        pool._next_id += 1
+        pool._pending.append(ticket)
+        return ticket
 
-    def test_lone_gatherable_ticket_waits_exactly_its_window(self, pool):
+    def workers(self, pool, count: int) -> list[list[int]]:
+        """Give the pool ``count`` idle slots; returns their send log."""
+        log: list[list[int]] = []
+        pool._workers = [StubWorker(log) for _ in range(count)]
+        return log
+
+    def dispatch(self, pool) -> None:
+        pool._dispatch_locked(pool.clock())
+
+
+class TestWaitHorizon(FakeClockPool):
+    """The supervisor's sleep."""
+
+    def test_lone_ticket_with_nothing_in_flight_arms_no_timer(self, pool):
         self.queue(pool, batch_key="group")
-        assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.005)
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.5)
+
+    def test_held_pair_waits_exactly_its_window(self, pool):
+        self.queue(pool, batch_key="group")
+        self.queue(pool, batch_key="group")
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(
+            self.WINDOW_S
+        )
 
     def test_backoff_gate_fires_on_time(self, pool):
         self.queue(pool, not_before=pool.clock() + 0.003)
@@ -263,5 +318,101 @@ class TestWaitHorizon:
 
     def test_due_timer_is_floored_at_one_millisecond(self, pool):
         self.queue(pool, batch_key="group")
-        pool.clock.now += 0.0049
+        self.queue(pool, batch_key="group")
+        pool.clock.now += self.WINDOW_S - 0.0001
         assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.001)
+
+
+class TestGatherRule(FakeClockPool):
+    """``_dispatch_locked``: Nagle's rule, capped by the window."""
+
+    def test_lone_ticket_on_an_idle_pool_dispatches_now(self, pool):
+        sent = self.workers(pool, 2)
+        ticket = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        assert sent == [[ticket.ticket_id]]
+        assert pool._pending == []
+
+    def test_lone_ticket_behind_its_group_waits_for_window(self, pool):
+        sent = self.workers(pool, 2)
+        first = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        second = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        # An idle worker is free, but a lane-mate may still arrive
+        # while the first dispatch of the group runs.
+        assert sent == [[first.ticket_id]]
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(
+            self.WINDOW_S
+        )
+        pool.clock.now += self.WINDOW_S
+        self.dispatch(pool)
+        assert sent == [[first.ticket_id],
+                                      [second.ticket_id]]
+
+    def test_lone_ticket_behind_its_group_leaves_on_return(self, pool):
+        sent = self.workers(pool, 2)
+        first = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        (busy,) = [w for w in pool._workers if w.inflight]
+        second = self.queue(pool, batch_key="group")
+        pool.clock.now += self.WINDOW_S / 2
+        self.dispatch(pool)
+        assert pool._pending == [second]
+        busy.inflight = []  # the group's dispatch returns
+        self.dispatch(pool)
+        assert sent == [[first.ticket_id],
+                                      [second.ticket_id]]
+
+    def test_other_keys_in_flight_hold_nothing(self, pool):
+        sent = self.workers(pool, 2)
+        self.queue(pool, batch_key="other")
+        self.dispatch(pool)
+        ticket = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        assert sent[-1] == [ticket.ticket_id]
+
+    def test_queued_pair_waits_for_window(self, pool):
+        sent = self.workers(pool, 2)
+        pair = [self.queue(pool, batch_key="group") for _ in range(2)]
+        self.dispatch(pool)
+        assert sent == []
+        pool.clock.now += self.WINDOW_S / 2
+        self.dispatch(pool)
+        assert sent == []
+        pool.clock.now += self.WINDOW_S / 2
+        self.dispatch(pool)
+        assert sent == [[t.ticket_id for t in pair]]
+
+    def test_queued_group_leaves_when_full(self, pool):
+        sent = self.workers(pool, 2)
+        group = [self.queue(pool, batch_key="group") for _ in range(3)]
+        self.dispatch(pool)
+        assert sent == []
+        group.append(self.queue(pool, batch_key="group"))
+        self.dispatch(pool)
+        assert sent == [[t.ticket_id for t in group]]
+
+    def test_remainder_of_a_full_group_waits_behind_it(self, pool):
+        sent = self.workers(pool, 2)
+        group = [self.queue(pool, batch_key="group") for _ in range(5)]
+        self.dispatch(pool)
+        # The fifth ticket is alone, but its group went out in this
+        # same pass: it waits for lane-mates instead of the idle slot.
+        assert sent == [[t.ticket_id for t in group[:4]]]
+        assert pool._pending == group[4:]
+
+    def test_closing_pool_flushes_what_it_held(self, pool):
+        sent = self.workers(pool, 2)
+        first = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        pair = [self.queue(pool, batch_key="held") for _ in range(2)]
+        lone = self.queue(pool, batch_key="group")
+        self.dispatch(pool)
+        assert len(pool._pending) == 3
+        pool._closing = True
+        assert pool._next_wait_locked(pool.clock()) == pytest.approx(0.5)
+        self.dispatch(pool)
+        assert sent == [[first.ticket_id],
+                                      [t.ticket_id for t in pair]]
+        assert pool._pending == [lone]  # both slots are busy now

@@ -74,6 +74,33 @@ class TestValidation:
         assert status == 400
         assert body["error"] == "bad_deadline"
 
+    @pytest.mark.parametrize("deadline", [float("nan"), "nan", "NaN"])
+    def test_nan_deadline_is_refused(self, service, deadline):
+        # Admitted, NaN ran with no budget and echoed a bare NaN token.
+        status, body = service.request(
+            "POST", "/run",
+            {"source": ADD_SRC, "lang": "yalll", "deadline_s": deadline},
+        )
+        assert status == 400
+        assert body["error"] == "bad_deadline"
+
+    def test_infinite_deadline_clamps_to_the_cap(self, service):
+        status, body = service.request(
+            "POST", "/run",
+            {"source": ADD_SRC, "lang": "yalll",
+             "deadline_s": float("inf")},
+        )
+        assert status == 200 and body["status"] == "ok"
+        assert body["deadline_s"] == service.config.max_deadline_s
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["batch_window_ms", "default_deadline_s", "max_deadline_s"]
+    )
+    def test_config_refuses_non_finite_times(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServeConfig(**{field: value})
+
     def test_chaos_rejected_unless_enabled(self):
         # Unit-level: default config refuses chaos fields outright.
         plain = ReproService(ServeConfig())

@@ -2,11 +2,14 @@
 
 A hypothesis state machine drives :class:`repro.supervisor.WorkerPool`
 with an in-test handler, so nothing compiles: jobs die on their first
-k attempts, wedge past a short deadline or arrive already expired, and
-the pool is closed by draining or aborting.  A small model predicts
-every ticket's terminal status from the retry budget and the breaker
+k attempts, wedge past a short deadline, arrive already expired or
+gather into lockstep batches under one of two batch keys, and the pool
+is closed by draining or aborting.  A small model predicts every
+ticket's terminal status from the retry budget and the breaker
 threshold; after close, every accepted future must have resolved
-exactly once to that status and the pool's counters must balance.
+exactly once to that status, no dispatch may have carried more than
+``batch_max_lanes`` lanes or mixed batch keys, and the pool's counters
+must balance.
 """
 
 import os
@@ -32,24 +35,30 @@ KILL_GRACE_S = 0.02
 #: Several times the longest legitimate drain here; a stranded ticket
 #: makes ``close`` run into it and the test fail instead of hanging.
 CLOSE_TIMEOUT_S = 3.0
+#: Gather window: short, so held groups flush within the test.
+BATCH_WINDOW_S = 0.005
+BATCH_KEYS = ("even", "odd")
 
 
 def model_handler(lanes):
     """Die, wedge or answer ``value`` — as each job asks.
 
     Every lane first works for a millisecond, so a death can land
-    after the close that follows its submission.
+    after the close that follows its submission.  Each answer reports
+    the dispatch it rode in: its lane count and every lane's batch key.
     """
     responses = []
+    groups = [job["group"] for _, job, _, _ in lanes]
     for ticket_id, job, attempt, _ in lanes:
         time.sleep(0.001)
         if attempt < job["die_first"]:
             os._exit(DEATH_EXITCODE)
         if job["wedge"]:
             time.sleep(60)
-        responses.append(
-            (ticket_id, {"status": "ok", "result": job["value"]})
-        )
+        responses.append((ticket_id, {
+            "status": "ok", "result": job["value"],
+            "lanes": len(lanes), "groups": groups,
+        }))
     return responses
 
 
@@ -71,10 +80,12 @@ class SupervisorModel(RuleBasedStateMachine):
         workers=st.integers(1, 2),
         max_requeues=st.integers(0, 2),
         strikes=st.integers(1, 3),
+        max_lanes=st.integers(1, 4),
     )
-    def start(self, workers, max_requeues, strikes):
+    def start(self, workers, max_requeues, strikes, max_lanes):
         self.max_requeues = max_requeues
         self.strikes = strikes
+        self.max_lanes = max_lanes
         self.pool = WorkerPool(
             workers,
             handler=model_handler,
@@ -82,6 +93,8 @@ class SupervisorModel(RuleBasedStateMachine):
             breakers=CircuitBreakers(strikes=strikes),
             max_requeues=max_requeues,
             kill_grace_s=KILL_GRACE_S,
+            batch_window_s=BATCH_WINDOW_S,
+            batch_max_lanes=max_lanes,
         )
         self.pool.start()
         #: (future, statuses the model allows, job) per accepted job.
@@ -91,7 +104,8 @@ class SupervisorModel(RuleBasedStateMachine):
 
     def _submit(self, job, allowed, deadline_s=None):
         key = f"job-{len(self.tickets)}"  # one breaker per ticket
-        future = self.pool.submit(job, key=key, deadline_s=deadline_s)
+        future = self.pool.submit(job, key=key, deadline_s=deadline_s,
+                                  batch_key=job["group"])
         index = len(self.tickets)
         self.resolutions[index] = 0
 
@@ -101,9 +115,9 @@ class SupervisorModel(RuleBasedStateMachine):
         future.add_done_callback(resolved)
         self.tickets.append((future, allowed, job))
 
-    def _job(self, die_first=0, wedge=False):
+    def _job(self, die_first=0, wedge=False, group=None):
         return {"value": len(self.tickets) * 7 + 1,
-                "die_first": die_first, "wedge": wedge}
+                "die_first": die_first, "wedge": wedge, "group": group}
 
     @precondition(lambda self: self.drained is None)
     @rule(die_first=st.integers(0, 3))
@@ -122,6 +136,14 @@ class SupervisorModel(RuleBasedStateMachine):
                                  else set())
         self._submit(self._job(wedge=True), allowed,
                      deadline_s=WEDGE_DEADLINE_S)
+
+    @precondition(lambda self: self.drained is None)
+    @rule(group=st.sampled_from(BATCH_KEYS), count=st.integers(1, 5))
+    def submit_batchable(self, group, count):
+        # Healthy lane-mates, submitted back to back so some queue
+        # together and some arrive behind a dispatch of their key.
+        for _ in range(count):
+            self._submit(self._job(group=group), {"ok"})
 
     @precondition(lambda self: self.drained is None)
     @rule()
@@ -145,7 +167,10 @@ class SupervisorModel(RuleBasedStateMachine):
             self.close(drain=True)
         pool = self.pool
         assert not pool._supervisor.is_alive()
+        # Nothing was left held: a closing pool flushes every group.
+        assert pool.depth()["pending"] == 0
         worker_timeouts = 0
+        batched_lanes = 0
         for index, (future, allowed, job) in enumerate(self.tickets):
             assert future.done(), f"ticket {index} stranded"
             assert self.resolutions[index] == 1
@@ -155,6 +180,11 @@ class SupervisorModel(RuleBasedStateMachine):
             assert outcome["status"] in expected, (index, job, outcome)
             if outcome["status"] == "ok":
                 assert outcome["result"] == job["value"]
+                # One batch key per dispatch, this lane's own, and
+                # never more lanes than the pool allows.
+                assert set(outcome["groups"]) == {job["group"]}
+                assert outcome["lanes"] <= self.max_lanes
+                batched_lanes += outcome["lanes"] > 1
             if outcome["status"] in ("crashed", "quarantined"):
                 assert outcome["exitcode"] in (DEATH_EXITCODE, -9)
             if outcome.get("where") == "worker":
@@ -162,6 +192,10 @@ class SupervisorModel(RuleBasedStateMachine):
         stats = pool.stats
         assert stats.submitted == len(self.tickets)
         assert stats.completed == stats.submitted
+        if self.drained:
+            # Batched lanes never die, so under a drain every lane a
+            # batch carried answered from inside it.
+            assert stats.batch_lanes == batched_lanes
         # Scalar dispatch: every worker death strikes exactly one
         # ticket, and every strike ends in exactly one of these.
         assert stats.crashes == (
