@@ -9,9 +9,12 @@ the ``bench_obs_overhead`` workload: the shipped loop with
 copy of the seed loop (plus the baseline's own measured jitter),
 interleaving rounds to cancel thermal/scheduler drift.
 
-It also reports the honest cost of *attached* injectors — a stuck-at
-register (fires every microinstruction, the worst case) and an armed
-but never-firing memory fault — which is allowed to be expensive.
+It also reports the cost of *attached* injectors — a stuck-at register
+(its hook runs at every microinstruction, the worst case) and an armed
+but never-firing memory fault (no hook: it wraps memory).  That table
+is informational, not a gate: under the decoded engine both keep the
+address-keyed plan lookup, because they declare that they replace no
+fetched word; the interpretive runs measured here fetch every word.
 """
 
 from __future__ import annotations

@@ -214,7 +214,9 @@ class _ScenarioContext:
     """What every scenario run of one campaign shares.
 
     The ``--jobs`` workers inherit it at fork, bound into their
-    handler, so a shard ships only its ``(index, FaultSpec)`` list.
+    handler, so a shard ships only its ``(index, FaultSpec)`` list —
+    and each forked worker starts from the plans the golden run decoded
+    into ``plan_memo`` (``Simulator.plan_memo``).
     """
 
     machine: object
@@ -227,13 +229,19 @@ class _ScenarioContext:
     engine: str
     collect_metrics: bool
     deadline_s: float | None
+    plan_memo: dict
+
+    def __getstate__(self) -> dict:
+        # Plans hold closures, which do not pickle: a worker started
+        # without fork begins with an empty memo.
+        return {**self.__dict__, "plan_memo": {}}
 
 
 # ----------------------------------------------------------------------
 def _fresh_simulator(
     machine, loaded, *, registers, memory, mapping, tracer,
     engine: str = "interpretive", collect_profile: bool = False,
-    deadline_s: float | None = None,
+    deadline_s: float | None = None, plan_memo: dict | None = None,
 ) -> Simulator:
     store = ControlStore(machine)
     store.load(loaded)
@@ -248,6 +256,7 @@ def _fresh_simulator(
         recorder=recorder,
         engine=engine,
         deadline_s=deadline_s,
+        plan_memo=plan_memo,
     )
     for name, value in (registers or {}).items():
         simulator.state.write_reg(mapping.get(name, name), value)
@@ -262,10 +271,12 @@ def _harvest_run(
     """Fold one finished (or aborted) run into a metrics rollup.
 
     The scenario simulator is fresh, so its lifetime plan-cache stats
-    *are* the run's stats; harvesting from the simulator rather than
-    the :class:`RunResult` also covers runs that ended in a typed
-    error, where no result object exists but the recorder kept
-    counting right up to the abort.
+    *are* the run's stats: a plan it took from the campaign's
+    ``plan_memo`` still counts as its own decode, so the counters are
+    what a simulator decoding everything itself reports.  Harvesting
+    from the simulator rather than the :class:`RunResult` also covers
+    runs that ended in a typed error, where no result object exists
+    but the recorder kept counting right up to the abort.
     """
     profile = simulator.recorder.profile
     plan_counters = None
@@ -275,9 +286,9 @@ def _harvest_run(
             profile.instructions, None
         )
     if simulator.engine == "traced":
-        # Scenario runs carry injectors, so their JITs never engage
-        # and harvest all-zero counters; the golden run's compiles,
-        # dispatches and bailouts land here.
+        # Scenario runs carry injectors, which admission bars from the
+        # JIT, so they harvest all-zero counters; the golden run's
+        # compiles, dispatches and bailouts land here.
         trace_counters = simulator.trace_cache_counters(None)
     metrics.add_run(
         profile, classification=classification,
@@ -323,14 +334,17 @@ def run_campaign_loaded(
     tracer=NULL_TRACER,
     jobs: int = 1,
     engine: str = "decoded",
-    compile_each=None,
     collect_metrics: bool = False,
     deadline_s: float | None = None,
 ) -> CampaignResult:
     """Run a campaign over an already-assembled program.
 
     ``plan`` overrides seeded generation with explicit scenarios (the
-    CLI's ``--fault`` path and regression tests use this).
+    CLI's ``--fault`` path and regression tests use this).  Each of its
+    specs is checked against ``machine`` before the golden run, so a
+    bit outside the control word, an address outside the control
+    store or a register the machine lacks raises
+    :class:`~repro.errors.FaultPlanError` instead of classifying.
 
     ``jobs > 1`` shards the scenarios round-robin over ``jobs``
     workers of the toolkit's one process supervisor,
@@ -344,14 +358,13 @@ def run_campaign_loaded(
     ``engine`` selects the simulator execution engine for golden and
     scenario runs alike (see :class:`repro.sim.simulator.Simulator`);
     every engine classifies identically.  Scenario runs carry fault
-    injectors, which :mod:`repro.sim.admission` bars from every fast
-    path, so they run the per-microinstruction loop; only the golden
-    run can take the trace JIT or the address-keyed plan lookup.
-
-    ``compile_each`` (internal, used by :func:`run_campaign` when a
-    compile cache is supplied) is called once per serial scenario and
-    returns the program to run — modelling the "compile per scenario"
-    pattern the cache collapses to one real compilation.
+    injectors, which :mod:`repro.sim.admission` bars from the trace
+    JIT and lockstep; every seeded injector declares what it touches,
+    so scenario runs keep the address-keyed plan lookup off the
+    addresses a bit flip watches.  The golden run and every scenario
+    share one memo of decoded plans, so a word is lowered once per
+    campaign (once per ``--jobs`` worker beyond what the golden run
+    decoded), while each run's plan-cache counters stay its own.
 
     ``collect_metrics`` attaches a profile recorder to the golden run
     and every scenario and folds the results into
@@ -371,6 +384,11 @@ def run_campaign_loaded(
     """
     mapping = mapping or {}
     metrics = CampaignMetrics() if collect_metrics else None
+    if plan is not None:
+        for fault_spec in plan.specs:
+            build_injector(fault_spec).check(machine)
+    # One machine, one program image: every run may share its plans.
+    plan_memo: dict = {}
 
     with tracer.span("golden", cat="fault", program=loaded.name,
                      machine=machine.name) as span:
@@ -378,6 +396,7 @@ def run_campaign_loaded(
             machine, loaded, registers=registers, memory=memory,
             mapping=mapping, tracer=NULL_TRACER, engine=engine,
             collect_profile=collect_metrics, deadline_s=deadline_s,
+            plan_memo=plan_memo,
         )
         result = simulator.run(loaded.name)
         golden = GoldenRun(
@@ -409,7 +428,7 @@ def run_campaign_loaded(
     )
     context = _ScenarioContext(
         machine, loaded, golden, registers, memory, mapping, watchdog,
-        engine, collect_metrics, deadline_s,
+        engine, collect_metrics, deadline_s, plan_memo,
     )
     indexed = list(enumerate(plan.specs))
     if jobs > 1 and len(indexed) > 1 and not tracer.enabled:
@@ -422,12 +441,8 @@ def run_campaign_loaded(
             )
         return campaign
     for index, fault_spec in indexed:
-        scenario_loaded = (
-            compile_each() if compile_each is not None else loaded
-        )
         campaign.outcomes.append(_run_scenario(
-            context, index, fault_spec, loaded=scenario_loaded,
-            tracer=tracer, metrics=metrics,
+            context, index, fault_spec, tracer=tracer, metrics=metrics,
         ))
     campaign.metrics = metrics
     return campaign
@@ -516,12 +531,11 @@ def _run_scenario(
     index: int,
     fault_spec: FaultSpec,
     *,
-    loaded=None,
     tracer=NULL_TRACER,
     metrics: CampaignMetrics | None = None,
 ) -> ScenarioOutcome:
-    """Run one scenario of ``context`` (on ``loaded``, if given)."""
-    loaded = context.loaded if loaded is None else loaded
+    """Run one scenario of ``context``."""
+    loaded = context.loaded
     golden = context.golden
     rendered = fault_spec.render()
     with tracer.span(f"scenario {index:03d}", cat="fault",
@@ -531,7 +545,7 @@ def _run_scenario(
             memory=context.memory, mapping=context.mapping,
             tracer=tracer, engine=context.engine,
             collect_profile=metrics is not None,
-            deadline_s=context.deadline_s,
+            deadline_s=context.deadline_s, plan_memo=context.plan_memo,
         )
         injector = build_injector(fault_spec).attach(simulator)
         outcome = ScenarioOutcome(index=index, spec=rendered,
@@ -593,17 +607,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Compile ``source`` in ``lang`` for ``machine`` and campaign it.
 
-    With a :class:`repro.cache.CompileCache` in ``cache`` the golden
-    program is compiled through the cache, and each serial scenario
-    re-probes it (one real compilation, N-1 hits — the pattern that
-    used to be N compilations across campaign harness variants).
+    With a :class:`repro.cache.CompileCache` in ``cache`` the program
+    is compiled through the cache: one probe per campaign, and every
+    scenario runs that one compiled program.
 
     With ``collect_metrics`` the result carries a
-    :class:`CampaignMetrics` rollup; the compile-cache family counts
-    only the golden compilation's probes, because per-scenario
-    re-probing is a serial-path modelling detail that ``--jobs``
-    legitimately skips — including it would break the serial/sharded
-    byte-identity contract.
+    :class:`CampaignMetrics` rollup whose compile-cache family holds
+    that probe.
     """
     from repro.registry import RegistryError, get_language, language_names
 
@@ -635,12 +645,6 @@ def run_campaign(
             evictions=cache.stats.evictions - cache_before[3],
             corrupt=cache.stats.corrupt - cache_before[4],
         )
-    compile_each = None
-    if cache is not None:
-        def compile_each():
-            return spec.compile(
-                source, machine, restart_safe=restart_safe, cache=cache
-            ).loaded
     campaign = run_campaign_loaded(
         result.loaded, machine,
         n=n, seed=seed, lang=lang, plan=plan,
@@ -649,7 +653,6 @@ def run_campaign(
         restart_hazards=result.restart_hazards,
         cycle_factor=cycle_factor, tracer=tracer,
         jobs=jobs, engine=engine,
-        compile_each=compile_each,
         collect_metrics=collect_metrics, deadline_s=deadline_s,
     )
     if golden_cache_delta is not None and campaign.metrics is not None:
@@ -678,9 +681,7 @@ def run_matrix(
     expressed per language, as in the cross-language test suite);
     ``machines`` holds :class:`MicroArchitecture` instances.  Each
     cell draws its own plan from the shared seed.  ``jobs``/``engine``
-    and the compile ``cache`` pass through to every cell's campaign;
-    with a cache, each cell's program compiles exactly once no matter
-    how many scenarios probe it.
+    and the compile ``cache`` pass through to every cell's campaign.
     """
     results = []
     for lang in sorted(sources):

@@ -7,6 +7,24 @@ parts of the machine state.  A detached simulator pays one
 ``is not None`` test per hook, mirroring the observability recorder's
 zero-overhead contract (checked by ``bench_fault_overhead``).
 
+Each injector also declares what it touches, and
+:mod:`repro.sim.admission` admits it to the decoded engine's
+address-keyed plan lookup by that:
+
+* ``watched`` — the absolute addresses whose fetched word it may
+  replace: the bit flip's one address, none for the others.  Visits
+  to a watched address fetch the word, call ``on_instruction`` with it
+  and ``after_sequence`` after it, exactly as without the lookup;
+  every other address runs its plan straight from the map.  ``None``
+  (the base class, and any injector that does not declare it) means
+  any address, and keeps every run on the fetching path.
+* ``boundary_hook`` — whether ``on_instruction`` must run at every
+  microinstruction boundary (the stuck-at register, the interrupt
+  storm and the chaos kill).  On a step run from the map it is called
+  with ``loaded=None``: no word was fetched, and its return value is
+  ignored.  The memory fault works through its memory wrapper and the
+  bit flip only at its watched address, so neither asks for it.
+
 Four fault models, one per classic microlevel failure mode:
 
 * :class:`ControlStoreBitFlip` — a single-event upset in the writable
@@ -55,22 +73,42 @@ _PURE_OPS_ARITY = {
 
 
 class FaultInjector:
-    """Base injector: attaches to a simulator, hooks do nothing."""
+    """Base injector: attaches to a simulator, hooks do nothing.
+
+    It declares nothing, so a subclass that does not declare
+    ``watched`` keeps every run on the fetching path.
+    """
+
+    #: Absolute addresses whose fetched word the injector may replace;
+    #: None for any address.
+    watched: frozenset[int] | None = None
+    #: Whether ``on_instruction`` must run at every microinstruction.
+    boundary_hook: bool = True
 
     def __init__(self) -> None:
         #: Chronological record of every firing (dicts, JSON-safe).
         self.fired: list[dict] = []
 
     # -- lifecycle -----------------------------------------------------
+    def check(self, machine) -> None:
+        """Raise :class:`FaultPlanError` if ``machine`` cannot host this
+        fault (a campaign asks before its golden run)."""
+
     def attach(self, simulator) -> "FaultInjector":
         """Install this injector on a simulator (chainable)."""
         simulator.injector = self
         return self
 
     # -- simulator hooks ----------------------------------------------
-    def on_instruction(self, simulator, loaded: LoadedWord) -> LoadedWord:
+    def on_instruction(
+        self, simulator, loaded: LoadedWord | None
+    ) -> LoadedWord | None:
         """Called before each microinstruction executes; may mutate
-        state, raise a :class:`MicroTrap`, or substitute the word."""
+        state, raise a :class:`MicroTrap`, or substitute the word.
+
+        ``loaded`` is None on a step the simulator ran without a fetch
+        (only outside ``watched``, and only for a ``boundary_hook``
+        injector); the return value is then ignored."""
         return loaded
 
     def after_sequence(self, simulator, address: int, resident):
@@ -94,12 +132,22 @@ class FaultInjector:
 class CompositeInjector(FaultInjector):
     """Fans the simulator hooks out to several injectors.
 
-    ``fired`` aggregates the members' records in hook order.
+    ``fired`` aggregates the members' records in hook order.  It
+    watches the union of its members' addresses (any address if one
+    member declares nothing) and needs the boundary hook if any member
+    does.
     """
 
     def __init__(self, members: list[FaultInjector]):
         super().__init__()
         self.members = list(members)
+        watched = [getattr(m, "watched", None) for m in self.members]
+        self.watched = (
+            None if None in watched else frozenset().union(*watched)
+        )
+        self.boundary_hook = any(
+            getattr(m, "boundary_hook", True) for m in self.members
+        )
 
     def attach(self, simulator) -> "CompositeInjector":
         simulator.injector = self
@@ -108,7 +156,7 @@ class CompositeInjector(FaultInjector):
         simulator.injector = self  # members' attach reset the hook
         return self
 
-    def on_instruction(self, simulator, loaded: LoadedWord) -> LoadedWord:
+    def on_instruction(self, simulator, loaded):
         for member in self.members:
             loaded = member.on_instruction(simulator, loaded)
         return loaded
@@ -142,6 +190,8 @@ class StuckAtRegister(FaultInjector):
     permanently-shorted latch input).
     """
 
+    watched = frozenset()
+
     def __init__(self, register: str, value: int, from_cycle: int = 0):
         super().__init__()
         self.register = register
@@ -149,7 +199,14 @@ class StuckAtRegister(FaultInjector):
         self.from_cycle = from_cycle
         self._announced = False
 
-    def on_instruction(self, simulator, loaded: LoadedWord) -> LoadedWord:
+    def check(self, machine) -> None:
+        if self.register not in machine.registers:
+            raise FaultPlanError(
+                f"stuck register {self.register!r} is not a register "
+                f"of {machine.name}"
+            )
+
+    def on_instruction(self, simulator, loaded):
         state = simulator.state
         if state.cycles >= self.from_cycle:
             state.poke_reg(self.register, self.value)
@@ -164,8 +221,12 @@ class TransientMemoryFault(FaultInjector):
     """Force a pagefault on the Nth main-memory access of ``op``.
 
     One-shot and transient: the retried access after the §2.1.5
-    restart succeeds, so well-formed trap services converge.
+    restart succeeds, so well-formed trap services converge.  It works
+    through a wrapper around ``state.memory`` and needs no hook.
     """
+
+    watched = frozenset()
+    boundary_hook = False
 
     def __init__(self, op: str = "read", nth: int = 1):
         super().__init__()
@@ -234,6 +295,8 @@ class InterruptStorm(FaultInjector):
     firings land on the fault track for trace inspection.
     """
 
+    watched = frozenset()
+
     def __init__(self, period: int, from_cycle: int = 0):
         super().__init__()
         if period < 1:
@@ -242,7 +305,7 @@ class InterruptStorm(FaultInjector):
         self.from_cycle = from_cycle
         self._next = None
 
-    def on_instruction(self, simulator, loaded: LoadedWord) -> LoadedWord:
+    def on_instruction(self, simulator, loaded):
         state = simulator.state
         if self._next is None:
             self._next = max(self.from_cycle, state.cycles) + self.period
@@ -453,6 +516,8 @@ class ProcessKill(FaultInjector):
     point — use it inside sacrificial worker processes.
     """
 
+    watched = frozenset()
+
     def __init__(self, nth: int = 1):
         super().__init__()
         if nth < 1:
@@ -460,7 +525,7 @@ class ProcessKill(FaultInjector):
         self.nth = nth
         self._seen = 0
 
-    def on_instruction(self, simulator, loaded: LoadedWord) -> LoadedWord:
+    def on_instruction(self, simulator, loaded):
         self._seen += 1
         if self._seen >= self.nth:
             import os
@@ -476,11 +541,15 @@ class ControlStoreBitFlip(FaultInjector):
     The mutation is computed lazily on first fetch of the word (the
     machine's field layout is needed) and cached; from ``from_cycle``
     on, every fetch of the address sees the flipped word — the fault
-    is persistent, as a genuine control-store upset would be.
+    is persistent, as a genuine control-store upset would be.  It
+    watches that one address and needs no other hook.
     """
+
+    boundary_hook = False
 
     def __init__(self, address: int, bit: int, from_cycle: int = 0):
         super().__init__()
+        self.watched = frozenset({address})
         self.address = address
         self.bit = bit
         self.from_cycle = from_cycle
@@ -494,7 +563,20 @@ class ControlStoreBitFlip(FaultInjector):
             )
         return self.effect
 
-    def on_instruction(self, simulator, loaded: LoadedWord) -> LoadedWord:
+    def check(self, machine) -> None:
+        width = machine.control.width
+        if not 0 <= self.bit < width:
+            raise FaultPlanError(
+                f"bit {self.bit} outside the {width}-bit control word"
+            )
+        size = machine.control_store_size
+        if not 0 <= self.address < size:
+            raise FaultPlanError(
+                f"address {self.address} outside the {size}-word "
+                f"control store"
+            )
+
+    def on_instruction(self, simulator, loaded):
         state = simulator.state
         if state.upc != self.address or state.cycles < self.from_cycle:
             return loaded

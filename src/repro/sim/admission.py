@@ -9,6 +9,16 @@ address-keyed plan lookup that skips the control-store fetch
 something, so each may only engage when nothing attached to the run
 needs what it skips.
 
+A fault injector is admitted by what it declares
+(:mod:`repro.faults.injectors`).  One that names the addresses whose
+fetched word it may replace (``watched``) keeps the plan lookup: the
+run loop keeps those addresses off the address-keyed map, so every
+visit to one still fetches, calls the injector and sequences through
+its ``after_sequence``, while every other address runs from the map.
+One that declares nothing may replace the word at any fetch and is
+refused every fast path.  Neither takes the trace JIT or lockstep:
+traces and lane vectors have no per-microinstruction hook.
+
 :data:`RULES` is that whole rule and :func:`fast_path_refusal` its one
 reader, asked by ``Simulator.run``, ``run_cases`` and serve admission
 alike; serve exports the codes as the ``reason`` label of its
@@ -37,7 +47,9 @@ class RunShape:
     engine: str = "decoded"
     lanes: int = 1
     machine: object = None
-    injector: bool = False
+    #: ``"declared"`` or ``"undeclared"`` when a fault injector is
+    #: attached (whether it declares ``watched``), else None.
+    injector: str | None = None
     trace: bool = False
     recorder: bool = False
     interrupt_every: bool = False
@@ -64,8 +76,14 @@ RULES = (
      lambda run: run.engine == "interpretive"),
     ("engine=decoded", {TRACE_JIT}, lambda run: run.engine == "decoded"),
     ("engine=traced", {LOCKSTEP}, lambda run: run.engine == "traced"),
-    # An injector may substitute a mutated word at any fetch.
-    ("injector", set(FAST_PATHS), lambda run: run.injector),
+    # An injector that declares nothing may substitute a mutated word
+    # at any fetch.
+    ("injector", set(FAST_PATHS), lambda run: run.injector == "undeclared"),
+    # A declared injector replaces words only at its watched addresses,
+    # which the run loop keeps off the address-keyed map; traces and
+    # lane vectors would skip its per-microinstruction hook.
+    ("injector=declared", {TRACE_JIT, LOCKSTEP},
+     lambda run: run.injector == "declared"),
     # A fetch-trace sink wants every executed line as it is fetched.
     ("trace", set(FAST_PATHS), lambda run: run.trace),
     # A recorder sees every fetched word; the JIT replays what its

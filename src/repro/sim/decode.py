@@ -35,10 +35,20 @@ address *and per encoded word* (:class:`PlanCache`): when a
 mutated word at fetch, its ``word`` differs from the pristine
 encoding, so the cache misses and the flipped behaviour is decoded
 fresh — a stale plan can never execute a bit-flipped word, and the
-un-flipped plan is reused again if the injector is cycle-gated.
-Campaigns therefore stay bit-accurate under the decoded engine (the
-parity suite in ``tests/sim/test_decode.py`` checks this
-instruction for instruction).
+un-flipped plan is reused again if the injector is cycle-gated.  The
+address a flip watches never enters the fetch-free address map, so
+every visit to it is fetched and looked up by word.  Campaigns
+therefore stay bit-accurate under the decoded engine (the parity
+suite in ``tests/sim/test_decode.py`` checks this instruction for
+instruction).
+
+A plan captures only the machine: operands, destinations and
+sequencing targets are resolved against its register file and the
+resident program, and a ``poll`` calls the handler the running state
+carries (``state.interrupt_handler``).  So simulators of one machine
+running one program image may share plans: :func:`decode_word`
+consults a simulator's ``plan_memo`` — one per fault campaign — before
+it lowers a word.
 
 Exact-parity contract: a decoded run must match the interpretive run
 in every observable — executed addresses, cycle accounting, register
@@ -172,9 +182,10 @@ class PlanCache:
       word gets a fresh decode (and flipping back reuses the pristine
       plan).
     * per-resident address maps (``addr_plans``) — the direct path the
-      run loop uses when no injector, trace, or recorder is attached
-      and the fetched word therefore cannot differ from the stored
-      one; skips the control-store fetch entirely.
+      run loop uses when no trace or recorder is attached and no
+      injector can substitute the fetched word at that address (an
+      injector's ``watched`` addresses are never inserted); skips the
+      control-store fetch entirely.
     """
 
     __slots__ = ("_by_word", "_by_addr", "stats")
@@ -207,7 +218,7 @@ class PlanCache:
     ) -> None:
         """Store a plan; ``direct=True`` additionally registers it on
         the fetch-free path (only legal when no injector can substitute
-        words for this simulator)."""
+        the word at ``address``)."""
         self.stats.decodes += 1
         self._by_word[(resident.base, address, loaded.word)] = plan
         if direct:
@@ -277,10 +288,9 @@ class ScalarSteps:
     the batched backend in :mod:`repro.sim.batch`.
     """
 
-    def __init__(self, simulator):
-        self.simulator = simulator
-        self.machine = simulator.machine
-        self.files = simulator.machine.registers
+    def __init__(self, machine):
+        self.machine = machine
+        self.files = machine.registers
 
     def reader(self, operand) -> Callable[[StateBackend], int]:
         """A reader closure for one source operand.
@@ -302,11 +312,11 @@ class ScalarSteps:
         return _dest_slot(self.files, name)
 
     def poll(self) -> Step:
-        simulator = self.simulator
-
+        # The handler is read from the state at run time, so the plan
+        # serves any simulator of the machine.
         def step(state, reg_writes, flag_writes, memory_ops):
-            if state.interrupt_pending and simulator.interrupt_handler:
-                simulator.interrupt_handler(state)
+            if state.interrupt_pending and state.interrupt_handler:
+                state.interrupt_handler(state)
                 state.interrupt_pending = False
                 return True
             return False
@@ -603,5 +613,20 @@ def build_plan(
 def decode_word(
     simulator, loaded: LoadedWord, resident: ResidentProgram, address: int
 ) -> ExecutionPlan:
-    """Lower one loaded control-store word into a scalar execution plan."""
-    return build_plan(ScalarSteps(simulator), loaded, resident, address)
+    """Lower one loaded control-store word into a scalar execution plan.
+
+    With a ``simulator.plan_memo`` the plan comes from the memo when any
+    simulator sharing it already lowered the same ``(resident base,
+    address, encoded word)`` — :class:`PlanCache`'s word-tier key.
+    """
+    memo = simulator.plan_memo
+    if memo is None:
+        return build_plan(ScalarSteps(simulator.machine), loaded, resident,
+                          address)
+    key = (resident.base, address, loaded.word)
+    plan = memo.get(key)
+    if plan is None:
+        plan = memo[key] = build_plan(
+            ScalarSteps(simulator.machine), loaded, resident, address
+        )
+    return plan

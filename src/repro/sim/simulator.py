@@ -69,9 +69,11 @@ class RunResult:
 
     ``plan_cache`` holds this run's pre-decoded plan-cache counters
     (``hits``/``misses``/``invalidations``) under the decoded and
-    traced engines and is None under the interpretive one.  Misses
-    include re-decodes forced by fault injectors substituting mutated
-    words — previously invisible work.
+    traced engines and is None under the interpretive one.  A miss is
+    a word this simulator's cache did not hold yet — including the
+    decodes forced by fault injectors substituting mutated words, and
+    plans taken from a shared ``plan_memo``, which count as this
+    simulator's decodes exactly as if it had lowered them itself.
 
     ``trace_cache`` holds this run's trace-JIT counters under the
     traced engine (``hits``/``misses``/``invalidations``/
@@ -126,7 +128,14 @@ class Simulator:
     recorder: TraceRecorder | None = None
     #: Fault-injection hook (see :mod:`repro.faults.injectors`); any
     #: object with ``on_instruction``/``after_sequence`` methods.  None
-    #: keeps the loop on the fast path, same contract as ``recorder``.
+    #: costs the loop one ``is not None`` test, same contract as
+    #: ``recorder``.  An injector that declares ``watched`` (the
+    #: addresses whose fetched word it may replace) keeps the decoded
+    #: engine's address-keyed plan lookup off those addresses.  A step
+    #: run from the map calls its ``on_instruction`` with ``None``, and
+    #: only if it declares ``boundary_hook``; it skips
+    #: ``after_sequence``.  One that declares nothing runs every
+    #: microinstruction on the fetching path.
     injector: object | None = None
     #: Wall-clock watchdog in seconds; None disables the deadline.
     #: Checked every 1024 microinstructions so the budget costs one
@@ -152,6 +161,12 @@ class Simulator:
     #: sources (``engine="traced"`` only), written crash-atomically
     #: like :mod:`repro.cache`'s compile cache.
     trace_dir: str | Path | None = None
+    #: Decoded plans shared with other simulators of the same machine
+    #: running the same program image (a fault campaign's golden run
+    #: and scenarios), keyed like the plan cache's word tier.  Each
+    #: simulator still counts its own decodes; only how a plan is
+    #: built changes (:func:`repro.sim.decode.decode_word`).
+    plan_memo: dict | None = None
 
     def __post_init__(self) -> None:
         if self.state is None:
@@ -191,6 +206,7 @@ class Simulator:
         state.halted = False
         state.exit_value = None
         state.micro_stack.clear()
+        state.interrupt_handler = self.interrupt_handler
 
         entry_snapshot = state.snapshot_registers()
         instructions = 0
@@ -211,10 +227,21 @@ class Simulator:
         plan_stats_before = None
         jit = None
         trace_stats_before = None
+        # Addresses whose fetched word the injector may replace stay
+        # off the address-keyed map, and a step run from the map calls
+        # the injector only if it asks for every boundary
+        # (repro.faults.injectors).
+        watched, boundary = frozenset(), False
+        if injector is not None:
+            watched = getattr(injector, "watched", None)
+            boundary = getattr(injector, "boundary_hook", True)
         # Which fast paths this run may take: repro.sim.admission.
         shape = dict(
             engine=self.engine,
-            injector=injector is not None,
+            injector=(
+                None if injector is None
+                else "undeclared" if watched is None else "declared"
+            ),
             trace=self.trace is not None,
             recorder=recorder is not None,
             interrupt_every=bool(self.interrupt_every),
@@ -239,6 +266,10 @@ class Simulator:
             )
             if fast_path_refusal(PLAN_LOOKUP, **shape) is None:
                 fast_plans = plans.addr_plans(resident)
+                # A plan a run without this injector left at a watched
+                # address would skip the injector there.
+                for address in watched:
+                    fast_plans.pop(address, None)
         if recorder is not None:
             recorder.begin_run(program_name, self.machine.name, state.cycles)
 
@@ -296,8 +327,12 @@ class Simulator:
                         # A guard refused the very first MI: fall
                         # through to the decoded path for progress.
                 if injector is not None:
-                    loaded = injector.on_instruction(self, loaded)
-                    instruction = loaded.instruction
+                    if loaded is not None:
+                        loaded = injector.on_instruction(self, loaded)
+                        instruction = loaded.instruction
+                    elif boundary:
+                        # No word was fetched, and none can be replaced.
+                        injector.on_instruction(self, None)
                 if decoded:
                     if plan is None:
                         plan = plans.lookup(resident, state.upc, loaded)
@@ -307,7 +342,8 @@ class Simulator:
                             )
                             plans.insert(
                                 resident, state.upc, loaded, plan,
-                                direct=fast_plans is not None,
+                                direct=fast_plans is not None
+                                and state.upc not in watched,
                             )
                             if recorder is not None:
                                 recorder.record_decode(
@@ -366,7 +402,9 @@ class Simulator:
                 plan.sequence(state)
             else:
                 self._sequence(instruction, current, resident)
-            if injector is not None:
+            # Only a fetched step can redirect: a declared injector
+            # replaces nothing off its watched addresses.
+            if injector is not None and loaded is not None:
                 override = injector.after_sequence(self, current, resident)
                 if override is not None:
                     state.upc = override

@@ -15,7 +15,7 @@ loop keeps its plain-dataclass attribute access.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
 from repro.machine.machine import MicroArchitecture
@@ -79,6 +79,10 @@ class MachineState:
     halted: bool = False
     exit_value: int | None = None
     cycles: int = 0
+    #: What a decoded ``poll`` calls to service a pending interrupt:
+    #: ``Simulator.run`` installs its ``interrupt_handler`` here, so
+    #: plans need not capture the simulator that decoded them.
+    interrupt_handler: Callable[["MachineState"], None] | None = None
 
     def __post_init__(self) -> None:
         if self.scratchpad is None:

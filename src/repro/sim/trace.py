@@ -46,8 +46,9 @@ Mechanics (a NET-style trace JIT):
   keeping the run loop's limit error byte-identical.
 * **Invalidation** — the JIT never runs beside a fault injector
   (:mod:`repro.sim.admission`: an injector can substitute mutated
-  control-store words at fetch, so the traced engine then degrades to
-  the plain decoded path, plans and all); :meth:`TraceJIT.invalidate`
+  control-store words at fetch and hooks every microinstruction, so
+  the traced engine then degrades to the decoded path);
+  :meth:`TraceJIT.invalidate`
   additionally drops every trace — ``PlanCache.invalidate``-style —
   and is fired automatically when the simulator's control store
   changes identity.
@@ -501,7 +502,7 @@ def build_namespace(simulator, resident: ResidentProgram,
     pre-decoded sequencer closure per multiway element (rebuilt from
     live words, which is what makes disk-tier sources reloadable)."""
     machine = simulator.machine
-    steps = ScalarSteps(simulator)
+    steps = ScalarSteps(machine)
     pre = 0
     pres, addrs = [], []
     ns = {

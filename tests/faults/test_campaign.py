@@ -1,5 +1,8 @@
 """Campaign harness: golden runs, classification, reproducibility."""
 
+import pytest
+
+from repro.errors import FaultPlanError
 from repro.faults import (
     FaultPlan,
     campaign_json,
@@ -29,6 +32,17 @@ end
 """
 
 MEMORY = {100: 41}
+
+#: Explicit specs HM1 cannot host (137-bit control words, a 4,096-word
+#: control store, upper-case register names), with the refusal text.
+MALFORMED_SPECS = {
+    "bitflip:addr=1,bit=137": "bit 137 outside the 137-bit control word",
+    "bitflip:addr=1,bit=-1": "bit -1 outside the 137-bit control word",
+    "stuck:reg=r5": "stuck register 'r5' is not a register of HM1",
+    "bitflip:addr=99999,bit=3":
+        "address 99999 outside the 4096-word control store",
+    "bitflip:addr=-1,bit=3": "address -1 outside the 4096-word control store",
+}
 
 
 class TestGoldenRun:
@@ -117,3 +131,35 @@ class TestMatrix:
         first = campaign_json(run_matrix(*args, **kwargs))
         second = campaign_json(run_matrix(*args, **kwargs))
         assert first == second
+
+
+class TestExplicitSpecChecks:
+    """A spec the machine cannot host is refused before the golden run,
+    not classified as a fault outcome."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("text", list(MALFORMED_SPECS))
+    def test_malformed_spec_refused(self, hm1, text, jobs, monkeypatch):
+        import repro.faults.campaign as campaign_module
+
+        golden = []
+        fresh = campaign_module._fresh_simulator
+        monkeypatch.setattr(
+            campaign_module, "_fresh_simulator",
+            lambda *a, **k: golden.append(1) or fresh(*a, **k),
+        )
+        plan = FaultPlan.from_specs(0, ["storm:period=3", text])
+        with pytest.raises(FaultPlanError) as caught:
+            run_campaign(YALLL_ROUND_TRIP, "yalll", hm1, plan=plan,
+                         memory=MEMORY, jobs=jobs)
+        assert str(caught.value) == MALFORMED_SPECS[text]
+        assert golden == []
+
+    def test_edge_of_every_range_accepted(self, hm1):
+        plan = FaultPlan.from_specs(0, [
+            "bitflip:addr=0,bit=0", "bitflip:addr=4095,bit=136",
+            "stuck:reg=R5,value=1",
+        ])
+        campaign = run_campaign(YALLL_ROUND_TRIP, "yalll", hm1, plan=plan,
+                                memory=MEMORY)
+        assert len(campaign.outcomes) == 3

@@ -58,6 +58,18 @@ class TestParallelFanout:
         wide = run_campaign(LOOP_SRC, "yalll", machine, n=2, seed=3, jobs=16)
         assert campaign_json([wide]) == campaign_json([serial])
 
+    def test_spawned_workers_byte_identical_to_serial(self, monkeypatch):
+        """Workers that do not fork get the campaign context pickled:
+        it must pickle (without the plan memo) and give the same
+        report."""
+        import multiprocessing
+
+        spawn = multiprocessing.get_context("spawn")
+        serial = campaign_bytes(jobs=1)
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method=None: spawn)
+        assert campaign_bytes(jobs=2) == serial
+
     def test_outcomes_in_index_order(self):
         machine = get_machine("HM1")
         result = run_campaign(

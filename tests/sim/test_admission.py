@@ -10,6 +10,9 @@ actually ran:
   misses when admitted, zero (or no counters) when refused;
 * plan lookup — ``PlanCache.addr_plans`` is consulted only when
   admitted;
+* fault injectors — an injector that declares what it touches keeps
+  the plan lookup, one that declares nothing engages no fast path, and
+  every seeded kind is run against all three paths;
 * lockstep — on lanes that diverge, an admitted ``run_cases`` enters
   ``_run_lockstep``, which carries every lane to EXIT itself; a
   refused one never enters it and returns every lane unpeeled with the
@@ -21,6 +24,8 @@ import pytest
 
 import repro.sim.batch as batch
 from repro.asm import ControlStore
+from repro.errors import ReproError
+from repro.faults.injectors import build_injector
 from repro.obs.timeline import TraceRecorder
 from repro.obs.tracer import NULL_TRACER
 from repro.registry import build_machine, get_language
@@ -46,6 +51,7 @@ EXPECTED = {
     "engine=decoded": {TRACE_JIT},
     "engine=traced": {LOCKSTEP},
     "injector": ALL,
+    "injector=declared": {TRACE_JIT, LOCKSTEP},
     "trace": ALL,
     "recorder": {PLAN_LOOKUP, LOCKSTEP},
     "interrupt_every": {TRACE_JIT, LOCKSTEP},
@@ -73,6 +79,10 @@ def apply_code(code, shape, monkeypatch):
         shape["machine"] = build_machine("ID3200m")
     elif code == "numpy":
         monkeypatch.setattr(batch, "HAVE_NUMPY", False)
+    elif code == "injector":
+        shape["injector"] = "undeclared"
+    elif code == "injector=declared":
+        shape["injector"] = "declared"
     else:
         shape[code] = True
     return shape
@@ -102,13 +112,23 @@ def test_unknown_engine_refuses_every_path():
 # What actually runs
 # ----------------------------------------------------------------------
 class _PassThrough:
-    """An injector that changes nothing."""
+    """An injector that changes nothing and declares nothing."""
 
     def on_instruction(self, simulator, loaded):
         return loaded
 
     def after_sequence(self, simulator, address, resident):
         return None
+
+
+class _DeclaredPassThrough(_PassThrough):
+    """An injector that changes nothing and says so."""
+
+    watched = frozenset()
+    boundary_hook = False
+
+
+INJECTORS = {"undeclared": _PassThrough, "declared": _DeclaredPassThrough}
 
 
 def mul_program(machine_name):
@@ -126,7 +146,8 @@ def simulator_for(code, monkeypatch):
     shape = apply_code(code, dict(engine="traced"), monkeypatch)
     simulator = Simulator(
         machine, store, engine=shape["engine"],
-        injector=_PassThrough() if shape.get("injector") else None,
+        injector=(INJECTORS[shape["injector"]]()
+                  if shape.get("injector") else None),
         trace=[] if shape.get("trace") else None,
         recorder=(TraceRecorder(NULL_TRACER)
                   if shape.get("recorder") else None),
@@ -161,6 +182,69 @@ def test_simulator_engages_what_the_table_admits(code, monkeypatch):
     else:
         assert jit_ran, counters
     assert bool(looked_up) == (PLAN_LOOKUP not in EXPECTED[code])
+
+
+#: One spec per injector kind; ``kill`` never reaches its nth MI.
+KIND_SPECS = {
+    "bitflip": "bitflip:addr={loop},bit=3",
+    "stuck": "stuck:reg=R7,value=0",
+    "memfault": "memfault:op=read,nth=1",
+    "storm": "storm:period=40",
+    "kill": "kill:nth=1000000000",
+}
+
+
+@pytest.mark.parametrize("path", FAST_PATHS)
+@pytest.mark.parametrize("kind", list(KIND_SPECS))
+def test_every_injector_kind_against_every_fast_path(kind, path, monkeypatch):
+    """Each seeded kind declares what it touches: admission keeps the
+    plan lookup and refuses the JIT and lockstep, and a traced run
+    shows exactly that — map consulted, no trace, no batch."""
+    consulted = []
+    addr_plans = PlanCache.addr_plans
+
+    def spy_plans(self, resident):
+        consulted.append(resident)
+        return addr_plans(self, resident)
+
+    batched = []
+    run_lockstep = batch._run_lockstep
+
+    def spy_lockstep(*args, **kwargs):
+        batched.append(args)
+        return run_lockstep(*args, **kwargs)
+
+    monkeypatch.setattr(PlanCache, "addr_plans", spy_plans)
+    monkeypatch.setattr(batch, "_run_lockstep", spy_lockstep)
+    simulator, name = simulator_for("engine=traced", monkeypatch)
+    resident = simulator.store.find(name)
+    loop = resident.base + resident.program.labels["loop"]
+    injector = build_injector(KIND_SPECS[kind].format(loop=loop))
+    injector.attach(simulator)
+    assert injector.watched == (
+        frozenset({loop}) if kind == "bitflip" else frozenset()
+    )
+    shape = dict(BASELINE[path], machine=simulator.machine,
+                 injector="declared")
+    expected = None if path == PLAN_LOOKUP else "injector=declared"
+    assert fast_path_refusal(path, **shape) == expected
+    try:
+        run = simulator.run(name)
+        counters = run.trace_cache
+    except ReproError:
+        counters = simulator.trace_cache_counters(None)
+
+    if path == TRACE_JIT:
+        assert counters["hits"] == counters["misses"] == 0, counters
+    elif path == PLAN_LOOKUP:
+        assert consulted
+        mapped = simulator._plan_cache.addr_plans(resident)
+        assert mapped
+        assert not injector.watched & set(mapped)
+    else:
+        assert not batched
+    if kind == "bitflip":
+        assert [f["name"] for f in injector.fired] == ["fault.bitflip"]
 
 
 #: Codes a ``run_cases`` call can carry.

@@ -70,7 +70,7 @@ def test_care_bits_match_like_mask_case(mask, value):
 @pytest.fixture(scope="module")
 def scalar_steps():
     machine = get_machine("HM1")
-    return ScalarSteps(Simulator(machine, ControlStore(machine)))
+    return ScalarSteps(machine)
 
 
 @settings(max_examples=200, deadline=None)
@@ -113,7 +113,7 @@ def test_metadata_keeps_arm_order_and_targets(m1):
     meta = terminator_metadata(multiway, 16 + address, resident)
     assert len(meta["cases"]) == len(multiway.cases) == 9
     simulator = Simulator(machine, store)
-    seq = sequencer(ScalarSteps(simulator), meta)
+    seq = sequencer(ScalarSteps(machine), meta)
     state = simulator.state
     for value in [*range(16), 0x1234, 0x8000, 0xFFFF]:
         state.write_reg(multiway.reg.name, value)

@@ -261,3 +261,27 @@ loop:
         ])
         assert code in (0, 1)  # classified, not a usage error
         assert "memfault" in capsys.readouterr().out
+
+
+class TestFaultsimSpecChecks:
+    """Malformed explicit specs exit 2 with an error, like
+    ``memfault:nth=0`` already did, instead of reporting an outcome."""
+
+    @pytest.mark.parametrize("fault", [
+        "bitflip:addr=1,bit=137", "bitflip:addr=1,bit=-1", "stuck:reg=r5",
+        "bitflip:addr=99999,bit=3", "bitflip:addr=-1,bit=3",
+        "memfault:nth=0", "storm:period=0",
+    ])
+    def test_refused_with_usage_error(self, tmp_path, capsys, fault):
+        source = tmp_path / "roundtrip.yalll"
+        source.write_text(
+            "put addr,100\nload v,addr\nadd v,v,1\nstor v,addr\nexit v\n"
+        )
+        code = main([
+            "faultsim", str(source), "--lang", "yalll", "--mem", "100=41",
+            "--fault", fault,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "fault campaign" not in captured.out
