@@ -34,7 +34,7 @@ import time
 from pathlib import Path
 
 from repro.asm import ControlStore
-from repro.bench import compare_throughput, render_regression, render_table
+from repro.bench import render_table
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
 from repro.sim import Simulator
@@ -258,20 +258,6 @@ def main(argv=None) -> int:
         "--repeats", type=int, default=3,
         help="timing repetitions per cell (best is kept)",
     )
-    parser.add_argument(
-        "--baseline", metavar="PATH", default=None,
-        help="committed BENCH_sim.json to gate fresh MI/s against",
-    )
-    parser.add_argument(
-        "--regress-floor", type=float, default=0.7, metavar="R",
-        help="fail when any cell's fresh/baseline MI/s ratio drops "
-             "below R (default 0.7)",
-    )
-    parser.add_argument(
-        "--report-only", action="store_true",
-        help="print the regression verdict but never fail on it "
-             "(for CI hosts with unstable wall-clock rates)",
-    )
     args = parser.parse_args(argv)
     payload = run_suite(repeats=args.repeats)
     print(render(payload))
@@ -305,15 +291,6 @@ def main(argv=None) -> int:
                 f"< floor {args.batched_floor}",
                 file=sys.stderr,
             )
-            status = 1
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        check = compare_throughput(
-            payload, baseline, floor=args.regress_floor
-        )
-        print()
-        print(render_regression(check))
-        if not check["passed"] and not args.report_only:
             status = 1
     return status
 

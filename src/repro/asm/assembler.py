@@ -61,6 +61,16 @@ class LoadedProgram:
     dispatch_tables: dict[int, tuple[str, tuple, int]] = field(default_factory=dict)
     #: address -> register name whose value EXIT yields.
     exit_values: dict[int, str] = field(default_factory=dict)
+    #: The decoded plans and compiled traces every simulator running
+    #: this image shares (:func:`repro.sim.decode.image_tables`).  Not
+    #: part of equality or repr, and never pickled: plans and traces
+    #: hold closures, and an unpickled image starts without them.
+    _sim_tables: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_sim_tables"}
 
     def __len__(self) -> int:
         return len(self.words)

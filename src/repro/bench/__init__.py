@@ -20,11 +20,7 @@ from repro.bench.programs import (
     compile_program,
     run_program,
 )
-from repro.bench.reporting import (
-    compare_throughput,
-    render_regression,
-    render_table,
-)
+from repro.bench.reporting import render_table
 from repro.bench.workloads import random_block, random_program
 
 __all__ = [
@@ -37,12 +33,10 @@ __all__ = [
     "ProgramRun",
     "assemble_macro",
     "build_macro_system",
-    "compare_throughput",
     "compile_program",
     "hand_compile",
     "random_block",
     "random_program",
-    "render_regression",
     "render_table",
     "run_hand",
     "run_program",

@@ -1,16 +1,8 @@
-"""Plain-text table rendering and perf-regression gating for benches.
+"""Plain-text table rendering for benches.
 
 Every benchmark prints the rows the corresponding part of the survey
 reports, in a uniform aligned format, so EXPERIMENTS.md can quote them
 verbatim.
-
-:func:`compare_throughput` gates a fresh ``bench_sim_throughput``
-payload against the committed ``BENCH_sim.json`` baseline: each
-(engine, workload) cell's MI/s must stay above ``floor`` times the
-baseline rate.  Wall-clock rates vary across hosts, so the floor is
-deliberately loose and CI runs the gate in report-only mode; the gate
-exists to catch order-of-magnitude slips (a de-optimised hot loop),
-not single-digit noise.
 """
 
 from __future__ import annotations
@@ -50,83 +42,3 @@ def _format(cell: object) -> str:
     if isinstance(cell, float):
         return f"{cell:.2f}"
     return str(cell)
-
-
-# ----------------------------------------------------------------------
-# Perf-regression gate
-# ----------------------------------------------------------------------
-def _throughput_cells(payload: dict) -> dict[tuple[str, str], float]:
-    """(engine, workload) -> MI/s from a bench_sim_throughput payload."""
-    return {
-        (row["engine"], row["workload"]): float(row["mi_per_s"])
-        for row in payload.get("results", [])
-    }
-
-
-def compare_throughput(
-    fresh: dict, baseline: dict, *, floor: float = 0.7
-) -> dict:
-    """Gate a fresh throughput payload against a committed baseline.
-
-    Each (engine, workload) cell present in *both* payloads is scored
-    as ``fresh MI/s / baseline MI/s``; a cell regresses when its ratio
-    drops below ``floor``.  Cells only one side has are reported but
-    never fail the gate (a new workload has no baseline yet).  Returns
-    a deterministic dict::
-
-        {"floor": float, "passed": bool, "worst_ratio": float | None,
-         "cells": [{"engine", "workload", "fresh", "baseline",
-                    "ratio", "ok"}, ...],
-         "unmatched": [...]}
-    """
-    fresh_cells = _throughput_cells(fresh)
-    base_cells = _throughput_cells(baseline)
-    cells = []
-    for key in sorted(fresh_cells.keys() & base_cells.keys()):
-        engine, workload = key
-        base = base_cells[key]
-        ratio = round(fresh_cells[key] / base, 3) if base else None
-        cells.append({
-            "engine": engine,
-            "workload": workload,
-            "fresh": fresh_cells[key],
-            "baseline": base,
-            "ratio": ratio,
-            "ok": ratio is None or ratio >= floor,
-        })
-    unmatched = sorted(
-        f"{engine}/{workload}"
-        for engine, workload in fresh_cells.keys() ^ base_cells.keys()
-    )
-    ratios = [c["ratio"] for c in cells if c["ratio"] is not None]
-    return {
-        "floor": floor,
-        "passed": all(c["ok"] for c in cells),
-        "worst_ratio": min(ratios) if ratios else None,
-        "cells": cells,
-        "unmatched": unmatched,
-    }
-
-
-def render_regression(check: dict) -> str:
-    """Human-readable verdict for a :func:`compare_throughput` result."""
-    verdict = "PASS" if check["passed"] else "REGRESSION"
-    table = render_table(
-        ["engine", "workload", "baseline MI/s", "fresh MI/s",
-         "ratio", "ok"],
-        [
-            [c["engine"], c["workload"], f"{c['baseline']:,.0f}",
-             f"{c['fresh']:,.0f}",
-             "n/a" if c["ratio"] is None else f"{c['ratio']:.3f}",
-             "ok" if c["ok"] else "REGRESSED"]
-            for c in check["cells"]
-        ],
-        title=f"throughput regression gate: {verdict} "
-              f"(floor {check['floor']:.2f}, worst ratio "
-              + ("n/a" if check["worst_ratio"] is None
-                 else f"{check['worst_ratio']:.3f}")
-              + ")",
-    )
-    if check["unmatched"]:
-        table += "\nno baseline for: " + ", ".join(check["unmatched"])
-    return table

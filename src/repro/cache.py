@@ -172,11 +172,11 @@ def compile_key(
 def write_atomic(path: Path, result) -> None:
     """Crash-safe disk write: serialize, temp file, ``os.replace``.
 
-    Shared by the compile cache and the trace JIT's disk tier
-    (:mod:`repro.sim.trace`).  A ``.pkl`` either exists complete or
-    not at all — a worker SIGKILLed mid-write (the serve pool's
-    normal chaos diet) can never leave a truncated entry for
-    ``cache.corrupt`` to clean up later.  Three guarantees stacked:
+    The compile cache's disk tier writes through it.  A ``.pkl``
+    either exists complete or not at all — a worker SIGKILLed
+    mid-write (the serve pool's normal chaos diet) can never leave a
+    truncated entry for ``cache.corrupt`` to clean up later.  Three
+    guarantees stacked:
 
     * pickling happens fully in memory first, so a serialization
       failure touches no file at all;
@@ -334,11 +334,7 @@ class CompileCache:
         self._remember(key, result)
         path = self._disk_path(key)
         if path is not None:
-            self._write_atomic(path, result)
-
-    #: Back-compat alias — the crash-atomic writer now lives at module
-    #: level so the trace JIT's disk tier can share it.
-    _write_atomic = staticmethod(write_atomic)
+            write_atomic(path, result)
 
     def _remember(self, key: str, result) -> None:
         self._memory[key] = result

@@ -215,8 +215,9 @@ class _ScenarioContext:
 
     The ``--jobs`` workers inherit it at fork, bound into their
     handler, so a shard ships only its ``(index, FaultSpec)`` list —
-    and each forked worker starts from the plans the golden run decoded
-    into ``plan_memo`` (``Simulator.plan_memo``).
+    and each forked worker starts from the plans the golden run left
+    in the program image's table (:func:`repro.sim.decode.image_tables`).
+    A worker started without fork receives the image without them.
     """
 
     machine: object
@@ -229,19 +230,13 @@ class _ScenarioContext:
     engine: str
     collect_metrics: bool
     deadline_s: float | None
-    plan_memo: dict
-
-    def __getstate__(self) -> dict:
-        # Plans hold closures, which do not pickle: a worker started
-        # without fork begins with an empty memo.
-        return {**self.__dict__, "plan_memo": {}}
 
 
 # ----------------------------------------------------------------------
 def _fresh_simulator(
     machine, loaded, *, registers, memory, mapping, tracer,
     engine: str = "interpretive", collect_profile: bool = False,
-    deadline_s: float | None = None, plan_memo: dict | None = None,
+    deadline_s: float | None = None,
 ) -> Simulator:
     store = ControlStore(machine)
     store.load(loaded)
@@ -256,7 +251,6 @@ def _fresh_simulator(
         recorder=recorder,
         engine=engine,
         deadline_s=deadline_s,
-        plan_memo=plan_memo,
     )
     for name, value in (registers or {}).items():
         simulator.state.write_reg(mapping.get(name, name), value)
@@ -271,8 +265,8 @@ def _harvest_run(
     """Fold one finished (or aborted) run into a metrics rollup.
 
     The scenario simulator is fresh, so its lifetime plan-cache stats
-    *are* the run's stats: a plan it took from the campaign's
-    ``plan_memo`` still counts as its own decode, so the counters are
+    *are* the run's stats: a plan it took from the program image's
+    shared table still counts as its own decode, so the counters are
     what a simulator decoding everything itself reports.  Harvesting
     from the simulator rather than the :class:`RunResult` also covers
     runs that ended in a typed error, where no result object exists
@@ -362,8 +356,9 @@ def run_campaign_loaded(
     JIT and lockstep; every seeded injector declares what it touches,
     so scenario runs keep the address-keyed plan lookup off the
     addresses a bit flip watches.  The golden run and every scenario
-    share one memo of decoded plans, so a word is lowered once per
-    campaign (once per ``--jobs`` worker beyond what the golden run
+    run one program image and share its plans
+    (:func:`repro.sim.decode.image_tables`), so a word is lowered once
+    per image (once per ``--jobs`` worker beyond what the golden run
     decoded), while each run's plan-cache counters stay its own.
 
     ``collect_metrics`` attaches a profile recorder to the golden run
@@ -387,8 +382,6 @@ def run_campaign_loaded(
     if plan is not None:
         for fault_spec in plan.specs:
             build_injector(fault_spec).check(machine)
-    # One machine, one program image: every run may share its plans.
-    plan_memo: dict = {}
 
     with tracer.span("golden", cat="fault", program=loaded.name,
                      machine=machine.name) as span:
@@ -396,7 +389,6 @@ def run_campaign_loaded(
             machine, loaded, registers=registers, memory=memory,
             mapping=mapping, tracer=NULL_TRACER, engine=engine,
             collect_profile=collect_metrics, deadline_s=deadline_s,
-            plan_memo=plan_memo,
         )
         result = simulator.run(loaded.name)
         golden = GoldenRun(
@@ -428,7 +420,7 @@ def run_campaign_loaded(
     )
     context = _ScenarioContext(
         machine, loaded, golden, registers, memory, mapping, watchdog,
-        engine, collect_metrics, deadline_s, plan_memo,
+        engine, collect_metrics, deadline_s,
     )
     indexed = list(enumerate(plan.specs))
     if jobs > 1 and len(indexed) > 1 and not tracer.enabled:
@@ -545,7 +537,7 @@ def _run_scenario(
             memory=context.memory, mapping=context.mapping,
             tracer=tracer, engine=context.engine,
             collect_profile=metrics is not None,
-            deadline_s=context.deadline_s, plan_memo=context.plan_memo,
+            deadline_s=context.deadline_s,
         )
         injector = build_injector(fault_spec).attach(simulator)
         outcome = ScenarioOutcome(index=index, spec=rendered,

@@ -45,7 +45,8 @@ class MicroArchitecture:
 
     A built description is mutable, so ablations can flip a knob on
     their own copy.  :meth:`freeze` makes one instance read-only for
-    callers that share it and memoise its fingerprint.
+    callers that share it (:func:`repro.registry.build_machine`) and
+    memoises its fingerprint.
     """
 
     name: str
@@ -80,7 +81,9 @@ class MicroArchitecture:
         if self.__dict__.get("_frozen"):
             raise MachineError(
                 f"{self.name}: machine is frozen; cannot set {name!r} "
-                f"(build a fresh one to change it)"
+                f"(the builders, build_hm1() ... or "
+                f"get_machine_spec({self.name!r}).build(), return fresh, "
+                f"mutable machines)"
             )
         object.__setattr__(self, name, value)
 

@@ -1,10 +1,12 @@
 """Concrete machine descriptions shipped with the toolkit.
 
-Each builder returns a fresh, validated :class:`MicroArchitecture`.
-Every machine registers a :class:`repro.registry.MachineSpec` here —
-the single table the CLI, fault campaigns and benchmarks resolve
-against; ``get_machine``/``machine_names`` remain as thin wrappers
-over the registry for existing callers.
+Each builder returns a fresh, validated, mutable
+:class:`MicroArchitecture`.  Every machine registers a
+:class:`repro.registry.MachineSpec` here — the single table the CLI,
+fault campaigns and benchmarks resolve against; ``get_machine``/
+``machine_names`` remain as thin wrappers over the registry for
+existing callers, and ``get_machine`` returns the registry's one
+frozen instance per name.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def machine_names() -> list[str]:
 
 
 def get_machine(name: str) -> MicroArchitecture:
-    """Build a fresh machine description by name."""
+    """The process's one frozen machine description for ``name``
+    (:func:`repro.registry.build_machine`); the builders return fresh,
+    mutable ones."""
     return build_machine(name)
 
 

@@ -18,6 +18,7 @@ registry itself stays dependency-free.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -153,10 +154,10 @@ def get_generator(lang: str) -> Callable:
 class MachineSpec:
     """One registered machine description builder.
 
-    ``build()`` returns a fresh, validated
-    :class:`~repro.machine.machine.MicroArchitecture` — machine
-    instances are mutable working objects, so the registry hands out
-    new ones rather than caching.
+    ``build()`` returns a fresh, validated, mutable
+    :class:`~repro.machine.machine.MicroArchitecture`, for callers
+    that change their copy; :func:`build_machine` hands out the
+    process's one frozen instance.
     """
 
     name: str
@@ -202,6 +203,17 @@ def get_machine_spec(name: str) -> MachineSpec:
         ) from None
 
 
+@functools.lru_cache(maxsize=None)
 def build_machine(name: str):
-    """Build a fresh machine description by name."""
-    return get_machine_spec(name).build()
+    """The process's one frozen machine description for ``name``.
+
+    Built and frozen on first use
+    (:meth:`~repro.machine.machine.MicroArchitecture.freeze`), so its
+    fingerprint is digested once, and the plans and traces a program
+    image keeps for the machine it ran on
+    (:func:`repro.sim.decode.image_tables`) serve every simulator of
+    it.  A caller that needs to change a machine takes a fresh one from
+    a builder (``repro.machine.machines.build_hm1`` …, or
+    ``get_machine_spec(name).build()``).
+    """
+    return get_machine_spec(name).build().freeze()

@@ -33,9 +33,9 @@ built robustness-first:
   for lane-mates only while one is queued or a run of its group is
   in flight (Nagle's rule, capped by the window), so a lone ``/run``
   never waits.
-* **One machine per name** — the service and its workers share one
-  frozen description per machine name
-  (:func:`~repro.serve.jobs._machine`), built and fingerprinted once
+* **One machine per name** — the service and its workers share the
+  registry's one frozen description per machine name
+  (:func:`repro.registry.build_machine`), built and fingerprinted once
   per process instead of once per request.
 * **Graceful drain** — ``SIGTERM`` stops admission, finishes
   in-flight work, then exits; ``/healthz`` and ``/metrics`` report

@@ -29,13 +29,13 @@ with ``enable_chaos`` (tests, CI smoke); production configs reject it.
 
 from __future__ import annotations
 
-import functools
 import os
 import signal
 import time
 
 from repro.cache import CompileCache, compile_key
 from repro.errors import ReproError, SimulationLimitError
+from repro.registry import build_machine
 
 #: Request classes, in shed order: under overload the service drops
 #: campaign-class admissions first, compile-class last.
@@ -57,7 +57,7 @@ def job_key(job: dict) -> str:
     try:
         base = compile_key(
             job.get("source", ""), job.get("lang", ""),
-            _machine(job.get("machine", "HM1")),
+            build_machine(job.get("machine", "HM1")),
             job.get("options") or None,
         )
     except Exception:
@@ -120,32 +120,11 @@ def lockstep_refusal(job: dict, *, lanes: int) -> str | None:
         return "chaos"
     return fast_path_refusal(
         LOCKSTEP,
-        machine=_machine(job.get("machine", "HM1")),
+        machine=build_machine(job.get("machine", "HM1")),
         lanes=lanes,
         engine=job.get("engine", "decoded"),
         deadline="deadline_s" in job,
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _machine(name: str):
-    """The one frozen machine description per name in this process.
-
-    :func:`job_key`, :func:`lockstep_refusal` and every worker-side
-    compile, run and campaign take their machine from here, so a
-    serve process builds each description, and digests its
-    :func:`~repro.cache.machine_fingerprint`, once (workers inherit
-    the parent's at fork).  Sharing one instance also keeps each
-    cached instruction's simulator memo, which is keyed by machine
-    identity, warm across requests.  The instance is frozen
-    (:meth:`~repro.machine.machine.MicroArchitecture.freeze`) because
-    its cached fingerprint is only right while nothing changes it;
-    code that needs a variant builds its own with
-    :func:`repro.registry.build_machine`.
-    """
-    from repro.registry import build_machine
-
-    return build_machine(name).freeze()
 
 
 def batch_group_key(job: dict) -> str:
@@ -203,7 +182,7 @@ def _chaos_kill(job: dict, attempt: int) -> None:
 def _compile(job: dict, cache: CompileCache):
     from repro.registry import get_language
 
-    machine = _machine(job.get("machine", "HM1"))
+    machine = build_machine(job.get("machine", "HM1"))
     options = dict(job.get("options") or {})
     result = get_language(job["lang"]).compile(
         job["source"], machine, cache=cache, **options
@@ -272,7 +251,7 @@ def _campaign_response(job: dict, cache: CompileCache, budget_s) -> dict:
     from repro.faults.campaign import run_campaign
 
     campaign = run_campaign(
-        job["source"], job["lang"], _machine(job.get("machine", "HM1")),
+        job["source"], job["lang"], build_machine(job.get("machine", "HM1")),
         n=int(job.get("n", 25)),
         seed=int(job.get("seed", 7)),
         restart_safe=bool(job.get("restart_safe", False)),

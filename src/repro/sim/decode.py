@@ -45,10 +45,15 @@ instruction).
 A plan captures only the machine: operands, destinations and
 sequencing targets are resolved against its register file and the
 resident program, and a ``poll`` calls the handler the running state
-carries (``state.interrupt_handler``).  So simulators of one machine
-running one program image may share plans: :func:`decode_word`
-consults a simulator's ``plan_memo`` — one per fault campaign — before
-it lowers a word.
+carries (``state.interrupt_handler``).  So every simulator of one
+machine running one program image may share plans: they live in the
+image's plan table (:func:`image_tables`), which :func:`decode_word`
+consults before it lowers a word — a fault campaign's golden run and
+scenarios, the runs of a cached compile result and fresh simulators
+over the same image all find them there.  The table is scoped by image
+because a word does not encode everything its plan resolves: an EXIT,
+a DISP and a branch followed by a fixup word carry neither their exit
+register, their dispatch table nor their fall-through target.
 
 Exact-parity contract: a decoded run must match the interpretive run
 in every observable — executed addresses, cycle accounting, register
@@ -76,6 +81,7 @@ from repro.mir.block import (
     Ret,
 )
 from repro.mir.operands import Imm, Reg
+from repro.sim import ops
 from repro.sim.ops import OPS, Op, step_factory
 from repro.sim.semantics import condition_holds, evaluate
 from repro.sim.state import StateBackend
@@ -610,23 +616,41 @@ def build_plan(
     )
 
 
+def image_tables(program, machine) -> tuple[dict, dict]:
+    """The plan and trace tables ``program`` keeps for ``machine``.
+
+    Held in the image's one slot (``LoadedProgram._sim_tables``) as
+    ``(machine, op-table epoch, plans, traces)``.  A run on another
+    machine object, or under another op table
+    (:func:`repro.sim.ops.planted`), replaces the whole slot.  The slot
+    holds the machine itself, so its id is never reused against it.
+    Plans are keyed like :class:`PlanCache`'s word tier; traces as
+    :meth:`repro.sim.trace.TraceJIT._build` says.
+    """
+    slot = program._sim_tables
+    if slot is None or slot[0] is not machine or slot[1] is not ops.epoch:
+        slot = program._sim_tables = (machine, ops.epoch, {}, {})
+    return slot[2], slot[3]
+
+
 def decode_word(
     simulator, loaded: LoadedWord, resident: ResidentProgram, address: int
 ) -> ExecutionPlan:
     """Lower one loaded control-store word into a scalar execution plan.
 
-    With a ``simulator.plan_memo`` the plan comes from the memo when any
-    simulator sharing it already lowered the same ``(resident base,
-    address, encoded word)`` — :class:`PlanCache`'s word-tier key.
+    The plan comes from the image's plan table (:func:`image_tables`)
+    when any simulator of the same machine already lowered the same
+    ``(resident base, address, encoded word)`` there, and goes into it
+    otherwise.  A word fetched from outside the image (a wild branch
+    into another resident) is lowered for this caller alone.
     """
-    memo = simulator.plan_memo
-    if memo is None:
-        return build_plan(ScalarSteps(simulator.machine), loaded, resident,
-                          address)
+    plans = {}
+    if resident.contains(address):
+        plans, _ = image_tables(resident.program, simulator.machine)
     key = (resident.base, address, loaded.word)
-    plan = memo.get(key)
+    plan = plans.get(key)
     if plan is None:
-        plan = memo[key] = build_plan(
+        plan = plans[key] = build_plan(
             ScalarSteps(simulator.machine), loaded, resident, address
         )
     return plan

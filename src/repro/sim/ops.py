@@ -125,6 +125,11 @@ def inline(
 
 _FACTORIES: dict[str, Callable] = {}
 
+#: Replaced whenever the table changes (:func:`planted`), so plans and
+#: traces a program image keeps (:func:`repro.sim.decode.image_tables`)
+#: are never served across a change.
+epoch = object()
+
 
 def step_factory(name: str) -> Callable:
     """The closure factory for one table op, rendered once and cached.
@@ -166,11 +171,14 @@ def planted(name: str, value: str) -> Iterator[None]:
     decodes the planted text while the interpretive engine, which calls
     :func:`~repro.sim.semantics.evaluate`, does not.
     """
+    global epoch
     pristine = OPS[name]
     OPS[name] = replace(pristine, value=value)
     _FACTORIES.clear()
+    epoch = object()
     try:
         yield
     finally:
         OPS[name] = pristine
         _FACTORIES.clear()
+        epoch = object()

@@ -19,8 +19,7 @@ and the time a pending interrupt waits for the next poll is recorded.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.asm.loader import ControlStore, ResidentProgram
@@ -72,14 +71,19 @@ class RunResult:
     traced engines and is None under the interpretive one.  A miss is
     a word this simulator's cache did not hold yet — including the
     decodes forced by fault injectors substituting mutated words, and
-    plans taken from a shared ``plan_memo``, which count as this
+    plans taken from the program image's shared table
+    (:func:`repro.sim.decode.image_tables`), which count as this
     simulator's decodes exactly as if it had lowered them itself.
+    ``invalidations`` counts the drop when the simulator's control
+    store was replaced since its last run.
 
     ``trace_cache`` holds this run's trace-JIT counters under the
     traced engine (``hits``/``misses``/``invalidations``/
-    ``bailouts`` — dispatches that made progress, traces stitched,
-    wholesale drops, guard bailouts) and is None otherwise.  All
-    zeros when :mod:`repro.sim.admission` refused the JIT.
+    ``bailouts`` — dispatches that made progress, traces installed,
+    wholesale drops, guard bailouts) and is None otherwise.  A trace
+    installed from the image's shared table counts as a miss, as one
+    stitched afresh does.  All zeros when :mod:`repro.sim.admission`
+    refused the JIT.
     """
 
     cycles: int
@@ -157,16 +161,6 @@ class Simulator:
     #: Back-edge executions of one loop head before the traced engine
     #: records and stitches a trace for it.
     trace_hot_threshold: int = 8
-    #: Optional content-addressed disk tier for stitched trace
-    #: sources (``engine="traced"`` only), written crash-atomically
-    #: like :mod:`repro.cache`'s compile cache.
-    trace_dir: str | Path | None = None
-    #: Decoded plans shared with other simulators of the same machine
-    #: running the same program image (a fault campaign's golden run
-    #: and scenarios), keyed like the plan cache's word tier.  Each
-    #: simulator still counts its own decodes; only how a plan is
-    #: built changes (:func:`repro.sim.decode.decode_word`).
-    plan_memo: dict | None = None
 
     def __post_init__(self) -> None:
         if self.state is None:
@@ -180,6 +174,8 @@ class Simulator:
         #: keyed per encoded word so fault injectors that substitute
         #: mutated words can never hit a stale plan.
         self._plan_cache = None
+        #: The control store whose words ``_plan_cache`` holds.
+        self._plan_store = None
         #: Lazily built trace JIT for the traced engine.
         self._trace_jit = None
 
@@ -260,10 +256,17 @@ class Simulator:
         if decoded:
             if self._plan_cache is None:
                 self._plan_cache = PlanCache()
+                self._plan_store = self.store
             plans = self._plan_cache
             plan_stats_before = (
                 plans.stats.decodes, plans.stats.invalidations,
             )
+            if self._plan_store is not self.store:
+                # The control store was replaced: its words may not be
+                # the ones these plans were lowered from.  Dropped after
+                # the snapshot, so the drop counts in this run.
+                plans.invalidate()
+                self._plan_store = self.store
             if fast_path_refusal(PLAN_LOOKUP, **shape) is None:
                 fast_plans = plans.addr_plans(resident)
                 # A plan a run without this injector left at a watched

@@ -44,21 +44,20 @@ Mechanics (a NET-style trace JIT):
   ``max_traps`` accounting observe nothing unusual.  A cycle-budget
   guard refuses any iteration that could overrun ``max_cycles``,
   keeping the run loop's limit error byte-identical.
-* **Invalidation** — the JIT never runs beside a fault injector
-  (:mod:`repro.sim.admission`: an injector can substitute mutated
-  control-store words at fetch and hooks every microinstruction, so
-  the traced engine then degrades to the decoded path);
-  :meth:`TraceJIT.invalidate`
-  additionally drops every trace — ``PlanCache.invalidate``-style —
-  and is fired automatically when the simulator's control store
-  changes identity.
-* **Disk tier** — optionally (``Simulator.trace_dir=``), stitched
-  sources persist content-addressed like :mod:`repro.cache`'s
-  compile cache — SHA-256 over the machine fingerprint and every
-  covered ``(address, word, successor)`` triple — through the same
-  crash-atomic write path (:func:`repro.cache.write_atomic`), so a
-  later process skips codegen (never compilation: host code objects
-  are not portable artifacts).
+* **Sharing and invalidation** — a compiled trace depends only on the
+  machine, the resident program and the recorded path, so it is kept
+  in the program image's trace table
+  (:func:`repro.sim.decode.image_tables`) under ``(resident base,
+  PLANT_RESULT_XOR, recorded (address, word, successor) path)``: a later
+  simulator running the same image on the same machine installs it
+  without stitching or compiling, though its JIT still detects and
+  records the loop and counts the install as its own compile.  The
+  JIT never runs beside a fault injector (:mod:`repro.sim.admission`:
+  an injector can substitute mutated control-store words at fetch and
+  hooks every microinstruction, so the traced engine then degrades to
+  the decoded path); :meth:`TraceJIT.invalidate` drops every
+  installed trace — ``PlanCache.invalidate``-style — and is fired
+  automatically when the simulator's control store changes identity.
 
 Not traced (exact decoded fallback): any run
 :func:`repro.sim.admission.fast_path_refusal` refuses
@@ -72,13 +71,9 @@ engine bit for bit.
 
 from __future__ import annotations
 
-import hashlib
-import pickle
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.asm.loader import ResidentProgram
-from repro.cache import machine_fingerprint, write_atomic
 from repro.errors import MicroTrap
 from repro.mir.block import Multiway
 from repro.mir.operands import Reg
@@ -87,17 +82,13 @@ from repro.sim.decode import (
     _COND_TESTS,
     ScalarSteps,
     _dest_slot,
+    image_tables,
     inline_spec,
     sequencer,
     terminator_metadata,
 )
 from repro.sim.ops import inline
 from repro.sim.semantics import condition_holds, evaluate
-
-#: Bump when the generated-source layout changes incompatibly, so a
-#: stale disk tier from an older checkout can never resurrect code
-#: with different semantics.
-TRACE_FORMAT = 2
 
 #: XOR mask stitched into every inlined ALU result when nonzero.
 #: This is the difftest harness's planted-bug hook (`--self-check`):
@@ -144,10 +135,6 @@ class TraceStats:
     #: Recordings abandoned (trap/EXIT mid-path, over-long path,
     #: unsupported construct).
     aborts: int = 0
-    #: Stitched sources served from the disk tier.
-    disk_hits: int = 0
-    #: Disk-tier entries that failed to load and were evicted.
-    corrupt: int = 0
 
     def snapshot(self) -> tuple[int, int, int, int]:
         return (self.compiles, self.enters, self.bailouts,
@@ -168,10 +155,10 @@ class CompiledTrace:
     """One stitched loop: the compiled function plus replay metadata."""
 
     __slots__ = ("head", "path", "loadeds", "mi_cycles", "iter_cycles",
-                 "n", "fn", "source", "key")
+                 "n", "fn", "source")
 
     def __init__(self, head, path, loadeds, mi_cycles, iter_cycles,
-                 n, fn, source, key):
+                 n, fn, source):
         self.head = head
         self.path = path
         self.loadeds = loadeds
@@ -180,7 +167,6 @@ class CompiledTrace:
         self.n = n
         self.fn = fn
         self.source = source
-        self.key = key
 
 
 class _Recording:
@@ -499,8 +485,7 @@ def build_namespace(simulator, resident: ResidentProgram,
                     elements) -> dict:
     """The globals a stitched source compiles against: shared
     semantics helpers, the trap-flush prefix tables, and one
-    pre-decoded sequencer closure per multiway element (rebuilt from
-    live words, which is what makes disk-tier sources reloadable)."""
+    pre-decoded sequencer closure per multiway element."""
     machine = simulator.machine
     steps = ScalarSteps(machine)
     pre = 0
@@ -524,24 +509,14 @@ def build_namespace(simulator, resident: ResidentProgram,
     return ns
 
 
-def trace_key(fingerprint: str, elements) -> str:
-    """Content address of one trace: machine fingerprint plus every
-    covered ``(address, word, successor)`` — any covered-word
-    mutation keys a different entry, ``PlanCache``-style."""
-    digest = hashlib.sha256()
-    digest.update(
-        f"v{TRACE_FORMAT}\x1fp{PLANT_RESULT_XOR}\x1f{fingerprint}".encode()
-    )
-    for address, loaded, successor in elements:
-        digest.update(f"\x1f{address}:{loaded.word}:{successor}".encode())
-    return digest.hexdigest()
-
-
 # ----------------------------------------------------------------------
 class TraceJIT:
-    """Per-simulator trace store: detection, recording, dispatch.
+    """Per-simulator trace detection, recording and dispatch.
 
-    Owned lazily by :class:`~repro.sim.simulator.Simulator` when
+    Heat, blacklist, recording and the installed traces are this
+    simulator's own; the compiled traces come from, and go to, the
+    program image's shared table (:meth:`_build`).  Owned lazily by
+    :class:`~repro.sim.simulator.Simulator` when
     :func:`repro.sim.admission.fast_path_refusal` admits the run.
     """
 
@@ -556,11 +531,6 @@ class TraceJIT:
         self.stats = TraceStats()
         self.store = simulator.store
         self.resident: ResidentProgram | None = None
-        self.disk_dir: Path | None = None
-        if simulator.trace_dir is not None:
-            self.disk_dir = Path(simulator.trace_dir)
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-        self._fingerprint: str | None = None
         self._rt = _TraceExit()
         self._pending = 0
 
@@ -645,11 +615,26 @@ class TraceJIT:
         self._emit_event(
             "sim.trace.compile", head=recording.head,
             mis=trace.n, cycles=trace.iter_cycles,
-            key=(trace.key or "")[:12],
         )
 
     def _build(self, recording: _Recording) -> CompiledTrace:
+        """The trace for one recorded path: from the image's trace
+        table when a simulator of this machine already compiled it,
+        else stitched, compiled and shared there."""
         elements = recording.elements
+        resident = recording.resident
+        path = tuple(address for address, _, _ in elements)
+        key = (resident.base, PLANT_RESULT_XOR, tuple(
+            (address, loaded.word, successor)
+            for address, loaded, successor in elements
+        ))
+        _, traces = image_tables(resident.program, self.sim.machine)
+        trace = traces.get(key)
+        if trace is None:
+            trace = traces[key] = self._compile(resident, elements, path)
+        return trace
+
+    def _compile(self, resident, elements, path) -> CompiledTrace:
         machine = self.sim.machine
         mi_cycles = tuple(
             loaded.instruction.cached_cycles(machine)
@@ -658,63 +643,20 @@ class TraceJIT:
         iter_cycles = sum(mi_cycles)
         if iter_cycles <= 0:
             raise TraceUnsupported("zero-cycle loop body")
-        key = None
-        source = None
-        if self.disk_dir is not None:
-            if self._fingerprint is None:
-                self._fingerprint = machine_fingerprint(machine)
-            key = trace_key(self._fingerprint, elements)
-            source = self._disk_probe(key)
-        if source is None:
-            source = stitch_trace(self.sim, recording.resident, elements)
-            if self.disk_dir is not None:
-                write_atomic(
-                    self.disk_dir / f"{key}.trace.pkl",
-                    {"format": TRACE_FORMAT, "key": key,
-                     "source": source},
-                )
-        namespace = build_namespace(
-            self.sim, recording.resident, elements
-        )
-        code = compile(source, f"<trace@{recording.head:04d}>", "exec")
+        source = stitch_trace(self.sim, resident, elements)
+        namespace = build_namespace(self.sim, resident, elements)
+        code = compile(source, f"<trace@{path[0]:04d}>", "exec")
         exec(code, namespace)
         return CompiledTrace(
-            head=recording.head,
-            path=tuple(address for address, _, _ in elements),
+            head=path[0],
+            path=path,
             loadeds=tuple(loaded for _, loaded, _ in elements),
             mi_cycles=mi_cycles,
             iter_cycles=iter_cycles,
             n=len(elements),
             fn=namespace["run_trace"],
             source=source,
-            key=key,
         )
-
-    def _disk_probe(self, key: str) -> str | None:
-        path = self.disk_dir / f"{key}.trace.pkl"
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                entry = pickle.load(handle)
-            if (
-                entry["format"] != TRACE_FORMAT
-                or entry["key"] != key
-                or not isinstance(entry["source"], str)
-            ):
-                raise ValueError("stale trace entry")
-        except Exception:
-            # Same contract as the compile cache: a corrupt or stale
-            # entry is a miss, and the bad file is evicted so later
-            # probes do not re-fail on it.
-            self.stats.corrupt += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self.stats.disk_hits += 1
-        return entry["source"]
 
     # ------------------------------------------------------------------
     def execute(self, trace: CompiledTrace, state, ceiling: int) -> int:

@@ -1,16 +1,6 @@
-"""Table rendering and the perf-regression gate for the benchmarks."""
+"""Table rendering for the benchmarks."""
 
-from repro.bench import compare_throughput, render_regression, render_table
-
-
-def payload(*rows):
-    """(engine, workload, mi_per_s) triples -> bench payload shape."""
-    return {
-        "results": [
-            {"engine": engine, "workload": workload, "mi_per_s": rate}
-            for engine, workload, rate in rows
-        ]
-    }
+from repro.bench import render_table
 
 
 class TestRenderTable:
@@ -39,66 +29,3 @@ class TestRenderTable:
     def test_mixed_types(self):
         text = render_table(["k", "v"], [["ratio", 0.5], ["words", 7]])
         assert "0.50" in text and "7" in text
-
-
-class TestThroughputGate:
-    def test_passes_when_within_floor(self):
-        check = compare_throughput(
-            payload(("decoded", "mul", 900.0)),
-            payload(("decoded", "mul", 1000.0)),
-        )
-        assert check["passed"]
-        assert check["worst_ratio"] == 0.9
-        assert check["cells"][0]["ok"]
-
-    def test_fails_below_floor(self):
-        check = compare_throughput(
-            payload(("decoded", "mul", 500.0), ("interpretive", "mul", 99.0)),
-            payload(("decoded", "mul", 1000.0), ("interpretive", "mul", 100.0)),
-        )
-        assert not check["passed"]
-        assert check["worst_ratio"] == 0.5
-        bad = next(c for c in check["cells"] if not c["ok"])
-        assert (bad["engine"], bad["workload"]) == ("decoded", "mul")
-
-    def test_floor_is_configurable(self):
-        fresh = payload(("decoded", "mul", 600.0))
-        base = payload(("decoded", "mul", 1000.0))
-        assert not compare_throughput(fresh, base)["passed"]
-        assert compare_throughput(fresh, base, floor=0.5)["passed"]
-
-    def test_unmatched_cells_reported_not_failed(self):
-        check = compare_throughput(
-            payload(("decoded", "mul", 900.0), ("decoded", "new", 1.0)),
-            payload(("decoded", "mul", 1000.0), ("decoded", "old", 1.0)),
-        )
-        assert check["passed"]
-        assert check["unmatched"] == ["decoded/new", "decoded/old"]
-
-    def test_zero_baseline_never_fails(self):
-        check = compare_throughput(
-            payload(("decoded", "mul", 900.0)),
-            payload(("decoded", "mul", 0.0)),
-        )
-        assert check["passed"]
-        assert check["worst_ratio"] is None
-        assert check["cells"][0]["ratio"] is None
-
-    def test_empty_payloads(self):
-        check = compare_throughput({}, {})
-        assert check["passed"] and check["cells"] == []
-
-    def test_render_verdicts(self):
-        passing = compare_throughput(
-            payload(("decoded", "mul", 900.0), ("decoded", "extra", 1.0)),
-            payload(("decoded", "mul", 1000.0)),
-        )
-        text = render_regression(passing)
-        assert "PASS" in text and "0.900" in text
-        assert "no baseline for: decoded/extra" in text
-        failing = compare_throughput(
-            payload(("decoded", "mul", 100.0)),
-            payload(("decoded", "mul", 1000.0)),
-        )
-        text = render_regression(failing)
-        assert "REGRESSION" in text and "REGRESSED" in text

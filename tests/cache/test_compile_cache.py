@@ -23,7 +23,7 @@ from repro.lang.mpl import compile_mpl
 from repro.lang.simpl import compile_simpl
 from repro.lang.sstar import compile_sstar
 from repro.lang.yalll import compile_yalll
-from repro.machine.machines import get_machine
+from repro.machine.machines import build_hm1, get_machine
 from repro.obs.tracer import Tracer
 
 YALLL_SRC = """
@@ -46,8 +46,8 @@ end
 
 class TestAddressing:
     def test_fingerprint_is_descriptive_not_identity(self):
-        a = get_machine("HM1")
-        b = get_machine("HM1")
+        a = build_hm1()
+        b = build_hm1()
         assert a is not b
         assert machine_fingerprint(a) == machine_fingerprint(b)
 

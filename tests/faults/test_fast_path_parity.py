@@ -2,17 +2,17 @@
 
 Every seeded injector declares what it touches (``watched``,
 ``boundary_hook``), so :mod:`repro.sim.admission` keeps the decoded
-engine's address-keyed plan lookup for its runs, and one memo of
-decoded plans serves every run of a campaign.  The tests here run the
+engine's address-keyed plan lookup for its runs, and the program
+image's table of decoded plans serves every run of a campaign.  The tests here run the
 same scenarios twice — admitted, and forced down the refused path by a
 wrapper that forwards every hook but declares nothing — and compare
 reports, ``fired`` lists, metrics and per-run plan-cache counters.
 They pin the cases the fast path could get wrong: a flip that turns on
 after its address's first visit, an illegal-encoding flip, a taken
 sequencer flip, and a flip beside a memory fault whose pagefault
-restarts the program (§2.1.5).  Two more pins cover the memo: a
-serial campaign lowers each distinct executed word once, and a plan
-serves whichever simulator runs it.
+restarts the program (§2.1.5).  Two more pins cover the plans the
+program image shares: a serial campaign lowers each distinct executed
+word once, and a plan serves whichever simulator runs it.
 """
 
 import sys
@@ -34,7 +34,7 @@ from repro.faults.report import campaign_json
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
 from repro.sim import Simulator
-from repro.sim.decode import build_plan
+from repro.sim.decode import build_plan, image_tables
 from tests.pipeline.golden_programs import GOLDEN_SOURCES
 
 from .capture_metrics_pins import COUNTDOWN, ROUNDTRIP, campaign_inputs
@@ -280,7 +280,7 @@ def test_flip_beside_restarting_memory_fault():
 
 
 # ----------------------------------------------------------------------
-# The plan memo
+# Plans shared through the program image
 # ----------------------------------------------------------------------
 def build_plan_keys(run):
     """``run()`` and the ``(base, address, word)`` of every
@@ -322,7 +322,6 @@ loop:
     exit counter
 """
     loaded = compile_yalll(source, machine, name="irq").loaded
-    memo = {}
     serviced = {"first": [], "second": []}
 
     def simulator(name):
@@ -331,14 +330,14 @@ loop:
         return Simulator(
             machine, store, engine="decoded", interrupt_every=7,
             interrupt_handler=lambda state: serviced[name].append(state.cycles),
-            plan_memo=memo,
         )
 
     first = simulator("first").run("irq")
-    decoded = len(memo)
+    plans, _ = image_tables(loaded, machine)
+    decoded = len(plans)
     calls = len(serviced["first"])
     second = simulator("second").run("irq")
-    assert len(memo) == decoded  # the second run lowered nothing
+    assert len(plans) == decoded  # the second run lowered nothing
     assert second.plan_cache["misses"] == first.plan_cache["misses"] > 0
     assert len(serviced["first"]) == calls == first.interrupts_serviced
     assert len(serviced["second"]) == second.interrupts_serviced > 0

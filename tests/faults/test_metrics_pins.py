@@ -1,7 +1,7 @@
 """Campaign reports with metrics, pinned byte for byte to ``metrics_pins.json``.
 
 The pins were captured before campaign runs kept the address-keyed plan
-lookup and shared one memo of decoded plans
+lookup and shared the decoded plans of their program image
 (``capture_metrics_pins.py``).  Every cell's JSON and verbose text —
 outcomes, ``fired`` lists, and with metrics the per-run plan-cache
 counters and profile decode counts — must still come out identical,

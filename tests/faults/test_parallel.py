@@ -60,8 +60,8 @@ class TestParallelFanout:
 
     def test_spawned_workers_byte_identical_to_serial(self, monkeypatch):
         """Workers that do not fork get the campaign context pickled:
-        it must pickle (without the plan memo) and give the same
-        report."""
+        it must pickle (the program image without its plans) and give
+        the same report."""
         import multiprocessing
 
         spawn = multiprocessing.get_context("spawn")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import EncodingError, MachineError
 from repro.machine.machines import get_machine, machine_names
+from repro.registry import build_machine
 from repro.machine.opspec import OpSpec
 from repro.machine.registers import MAR, MBR
 
@@ -16,8 +17,13 @@ class TestRegistry:
         with pytest.raises(MachineError):
             get_machine("PDP-11")
 
-    def test_fresh_instances(self):
-        assert get_machine("HM1") is not get_machine("HM1")
+    @pytest.mark.parametrize("name", ["HM1", "CM1", "HP300m", "VAXm", "VM1", "ID3200m"])
+    def test_one_frozen_instance_per_name(self, name):
+        machine = get_machine(name)
+        assert build_machine(name) is build_machine(name) is machine
+        with pytest.raises(MachineError, match=r"build_hm1\(\).*get_machine_spec"):
+            machine.notes = "edited"
+        assert machine.notes != "edited"
 
     @pytest.mark.parametrize("name", ["HM1", "CM1", "HP300m", "VAXm", "VM1", "ID3200m"])
     def test_all_validate(self, name):

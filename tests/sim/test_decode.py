@@ -6,13 +6,20 @@ instruction for instruction (the fetch trace), cycle for cycle, and
 in every piece of final state.  These tests sweep the cross-language
 example programs over HM1, CM1 and VAXm and exercise every stateful
 corner (traps, interrupts, scratchpad, multiway dispatch, banked
-windows) on both engines.
+windows) on both engines.  The plans and traces a program image
+keeps for every simulator that runs it are checked for soundness,
+sharing and plant isolation at the end.
 """
+
+import builtins
+import sys
 
 import pytest
 
+import repro.sim.trace as trace_module
 from repro.asm import ControlStore
-from repro.errors import SimulationError
+from repro.errors import SimulationError, SimulationLimitError
+from repro.faults.injectors import ControlStoreBitFlip
 from repro.lang.empl import compile_empl
 from repro.lang.mpl import compile_mpl
 from repro.lang.simpl import compile_simpl
@@ -21,7 +28,8 @@ from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
 from repro.obs.timeline import TraceRecorder
 from repro.sim import Simulator
-from repro.sim.decode import PlanCache, decode_word
+from repro.sim.decode import PlanCache, build_plan, decode_word
+from repro.sim.ops import planted
 
 # The same algorithm (multiply 5 x 7 by repeated addition) in every
 # language, mirroring tests/integration/test_cross_language.py.
@@ -74,6 +82,55 @@ loop:
     jump loop
 out:
     exit p
+"""
+
+#: Two images with identical words: an EXIT word does not encode its
+#: exit register (results 3 and 5).
+EXIT_A = "reg a = R1\nreg b = R2\nput a,3\nput b,5\nexit a\n"
+EXIT_B = EXIT_A.replace("exit a", "exit b")
+
+
+def dispatch_loop(arms):
+    """A hot loop around a multiway whose arms are all that varies: a
+    DISP word does not encode its dispatch table."""
+    return f"""
+    put n,21
+    put t,0
+loop:
+    and x,n,3
+    mjump x ({arms})
+even:
+    add t,t,1
+    jump next
+odd:
+    add t,t,2
+next:
+    sub n,n,1
+    jump loop if nonzero
+    exit t
+"""
+
+
+#: ``n & 3`` is 1 on 6 of the 21 trips and 2 on 5: 27, and 32 when the
+#: second arm also takes 2.  Both trace the trip at n = 13 (x = 1)
+#: along the same path, so only the dispatch table tells them apart.
+DISPATCH_A = dispatch_loop("0000 -> even, 0001 -> odd, default -> even")
+DISPATCH_B = dispatch_loop(
+    "0000 -> even, 0001 -> odd, 0010 -> odd, default -> even"
+)
+
+#: Two words: ``put a,1`` with ``jump there`` (target 1), then EXIT.
+WILD = "    put a,1\n    jump there\nthere:\n    exit a\n"
+
+#: 41 xor folds: a one-bit plant in xor flips the result from 1 to 0.
+XOR_LOOP = """
+    put n,41
+    put t,0
+loop:
+    xor t,t,n
+    sub n,n,1
+    jump loop if nonzero
+    exit t
 """
 
 MACHINES = ("HM1", "CM1", "VAXm")
@@ -346,6 +403,34 @@ class TestPlanCache:
             Simulator(machine, store, engine="jit")
 
 
+class TestStoreSwap:
+    """Replacing a simulator's control store drops its plans, as it
+    drops its traces: the new store may hold different programs behind
+    the same words."""
+
+    @pytest.mark.parametrize("engine", ["decoded", "traced"])
+    def test_swapped_store_runs_the_new_program(self, engine):
+        machine = get_machine("HM1")
+        first = compile_yalll(EXIT_A, machine, name="pair").loaded
+        second = compile_yalll(EXIT_B, machine, name="pair").loaded
+        assert [w.word for w in first.words] == [
+            w.word for w in second.words
+        ]
+        store = ControlStore(machine)
+        store.load(first)
+        simulator = Simulator(machine, store, engine=engine)
+        assert simulator.run("pair").exit_value == 3
+        replacement = ControlStore(machine)
+        replacement.load(second)
+        simulator.store = replacement
+        swapped = simulator.run("pair")
+        assert swapped.exit_value == 5
+        assert swapped.plan_cache == {
+            "hits": 0, "misses": swapped.instructions, "invalidations": 1,
+        }
+        assert simulator.run("pair").plan_cache["invalidations"] == 0
+
+
 class TestPlanCacheCounters:
     def _runner(self, *, recorder=None, engine="decoded"):
         machine = get_machine("HM1")
@@ -439,3 +524,126 @@ class TestRecorderParity:
         assert dec.busy_cycles == interp.busy_cycles
         assert dec.exec_counts.data == interp.exec_counts.data
         assert dec.cycle_counts.data == interp.cycle_counts.data
+
+
+# ----------------------------------------------------------------------
+# Plans and traces shared through the program image
+# ----------------------------------------------------------------------
+def fresh_run(machine, loaded, engine, **kwargs):
+    """One run on a fresh simulator over a fresh store."""
+    store = ControlStore(machine)
+    store.load(loaded)
+    return Simulator(machine, store, engine=engine).run(
+        loaded.name, **kwargs
+    )
+
+
+def lowering_calls(run):
+    """``run()`` and how often it called ``build_plan`` and the
+    builtin ``compile()``."""
+    calls = {"build_plan": 0, "compile": 0}
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is build_plan.__code__:
+            calls["build_plan"] += 1
+        elif event == "c_call" and arg is builtins.compile:
+            calls["compile"] += 1
+
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return result, calls
+
+
+class TestImageTables:
+    @pytest.mark.parametrize("engine", ["decoded", "traced"])
+    @pytest.mark.parametrize("sources,expected", [
+        ((EXIT_A, EXIT_B), (3, 5)),
+        ((DISPATCH_A, DISPATCH_B), (27, 32)),
+    ], ids=["exit", "dispatch"])
+    def test_identical_words_keep_their_own_results(
+        self, engine, sources, expected
+    ):
+        machine = get_machine("HM1")
+        images = [
+            compile_yalll(source, machine, name="pair").loaded
+            for source in sources
+        ]
+        assert [w.word for w in images[0].words] == [
+            w.word for w in images[1].words
+        ]
+        for image, value in zip(images, expected):
+            assert fresh_run(machine, image, "interpretive").exit_value \
+                == value
+            result = fresh_run(machine, image, engine)
+            assert result.exit_value == value
+            if engine == "traced" and sources[0] is DISPATCH_A:
+                assert result.trace_cache["misses"] >= 1
+
+    def test_words_fetched_outside_the_image_are_not_shared(self):
+        """A flipped branch target can leave the image for another
+        resident's words, which the image's table must not keep."""
+        machine = get_machine("HM1")
+        wild = compile_yalll(WILD, machine, name="wild").loaded
+        bit = machine.control.offset("br_addr") + 2  # target 1 -> 5
+        for source, value in ((EXIT_A, 3), (EXIT_B, 5)):
+            other = compile_yalll(source, machine, name="pair").loaded
+            for engine in ("interpretive", "decoded"):
+                store = ControlStore(machine)
+                store.load(wild)
+                store.load(other, base=5)
+                simulator = Simulator(machine, store, engine=engine)
+                ControlStoreBitFlip(0, bit).attach(simulator)
+                assert simulator.run("wild").exit_value == value
+
+    @pytest.mark.parametrize("engine", ["decoded", "traced"])
+    def test_second_simulator_lowers_and_compiles_nothing(self, engine):
+        machine = get_machine("HM1")
+        image = compile_yalll(DISPATCH_A, machine, name="pair").loaded
+        first, cold = lowering_calls(
+            lambda: fresh_run(machine, image, engine)
+        )
+        second, warm = lowering_calls(
+            lambda: fresh_run(machine, image, engine)
+        )
+        assert cold["build_plan"] > 0
+        assert cold["compile"] > 0 or engine == "decoded"
+        assert warm == {"build_plan": 0, "compile": 0}
+        # Each simulator still counts the shared plans and traces as
+        # its own decodes and compiles.
+        assert second.plan_cache == first.plan_cache
+        assert second.trace_cache == first.trace_cache
+        assert second.exit_value == first.exit_value == 27
+
+    @pytest.mark.parametrize("engine", ["decoded", "traced"])
+    def test_planted_op_table_never_serves_a_pristine_run(self, engine):
+        machine = get_machine("HM1")
+        image = compile_yalll(XOR_LOOP, machine, name="xor").loaded
+        pristine = fresh_run(machine, image, "interpretive").exit_value
+        with planted("xor", "(a & M) ^ (b & M) ^ 1"):
+            assert fresh_run(machine, image, engine).exit_value \
+                != pristine
+        assert fresh_run(machine, image, engine).exit_value == pristine
+
+    def test_planted_stitcher_never_serves_a_pristine_run(
+        self, monkeypatch
+    ):
+        machine = get_machine("HM1")
+        image = compile_yalll(XOR_LOOP, machine, name="xor").loaded
+        pristine = fresh_run(machine, image, "interpretive").exit_value
+        with monkeypatch.context() as patch:
+            patch.setattr(trace_module, "PLANT_RESULT_XOR", 1)
+            # The plant derails the loop counter; a planted run either
+            # exits with another value or runs out of cycles.
+            try:
+                planted_value = fresh_run(
+                    machine, image, "traced", max_cycles=20_000
+                ).exit_value
+            except SimulationLimitError:
+                planted_value = None
+        assert planted_value != pristine
+        result = fresh_run(machine, image, "traced")
+        assert result.exit_value == pristine
+        assert result.trace_cache["misses"] >= 1

@@ -1,4 +1,4 @@
-"""Trace-JIT behaviour: parity, guards, invalidation, disk tier.
+"""Trace-JIT behaviour: parity, guards, invalidation.
 
 The golden rule extends the decoded engine's: for any program the
 toolkit can assemble, a traced run must be observably identical to
@@ -7,13 +7,10 @@ counts, recorded profile, even the exact limit error when a run
 overruns its cycle budget mid-loop.  On top of parity, these tests
 pin the JIT's own machinery: heat detection and profile seeding,
 guard side exits (branch, multiway), blacklist of over-long paths,
-``PlanCache``-style invalidation on store swap, the content-addressed
-disk tier with corruption eviction, and the per-MI fallbacks
-(injector, trace sink, ``interrupt_every``) that must keep the JIT
-disengaged.
+``PlanCache``-style invalidation on store swap, and the per-MI
+fallbacks (injector, trace sink, ``interrupt_every``) that must keep
+the JIT disengaged.
 """
-
-import pickle
 
 import pytest
 
@@ -299,50 +296,3 @@ class TestFallbacks:
         result = simulator.run(loaded.name)
         assert result.trace_cache == self.ZEROS
         assert len(fetches) == result.instructions
-
-
-class TestDiskTier:
-    def _run_with_dir(self, machine, loaded, trace_dir):
-        store = ControlStore(machine)
-        store.load(loaded)
-        simulator = Simulator(
-            machine, store, engine="traced", trace_dir=trace_dir,
-        )
-        result = simulator.run(loaded.name)
-        return result, simulator._trace_jit
-
-    def test_roundtrip_and_corruption(self, tmp_path):
-        machine, loaded = compiled(COUNTDOWN)
-        first, jit_a = self._run_with_dir(machine, loaded, tmp_path)
-        entries = list(tmp_path.glob("*.trace.pkl"))
-        assert len(entries) == 1
-        assert jit_a.stats.disk_hits == 0
-
-        # A later process skips codegen: same key, source off disk.
-        second, jit_b = self._run_with_dir(machine, loaded, tmp_path)
-        assert jit_b.stats.disk_hits == 1
-        assert second.exit_value == first.exit_value
-        assert second.cycles == first.cycles
-
-        # Corrupt entries are a miss, evicted, and rewritten whole.
-        entries[0].write_bytes(b"not a pickle")
-        third, jit_c = self._run_with_dir(machine, loaded, tmp_path)
-        assert jit_c.stats.corrupt == 1
-        assert jit_c.stats.disk_hits == 0
-        assert third.exit_value == first.exit_value
-        fresh = list(tmp_path.glob("*.trace.pkl"))
-        assert fresh == entries
-        entry = pickle.loads(fresh[0].read_bytes())
-        assert isinstance(entry["source"], str)
-
-    def test_stale_format_evicted(self, tmp_path):
-        machine, loaded = compiled(COUNTDOWN)
-        self._run_with_dir(machine, loaded, tmp_path)
-        path = list(tmp_path.glob("*.trace.pkl"))[0]
-        entry = pickle.loads(path.read_bytes())
-        entry["format"] = -1
-        path.write_bytes(pickle.dumps(entry))
-        _, jit = self._run_with_dir(machine, loaded, tmp_path)
-        assert jit.stats.corrupt == 1
-        restored = pickle.loads(path.read_bytes())
-        assert restored["format"] != -1
