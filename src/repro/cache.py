@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro.obs.metrics import CounterBlock
 from repro.obs.tracer import NULL_TRACER
 
 #: Bump when the cached result layout changes incompatibly, so stale
@@ -222,8 +223,9 @@ def write_atomic(path: Path, result) -> None:
 
 # ----------------------------------------------------------------------
 @dataclass
-class CacheStats:
-    """Probe counters for one :class:`CompileCache`."""
+class CacheStats(CounterBlock):
+    """Probe counters for one :class:`CompileCache` (lifetime totals;
+    a caller wanting one compile's probes subtracts a :meth:`copy`)."""
 
     hits: int = 0
     misses: int = 0
@@ -240,14 +242,7 @@ class CacheStats:
         return self.hits / probes if probes else 0.0
 
     def to_json(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "disk_hits": self.disk_hits,
-            "evictions": self.evictions,
-            "corrupt": self.corrupt,
-            "hit_rate": round(self.hit_rate(), 4),
-        }
+        return {**super().to_json(), "hit_rate": round(self.hit_rate(), 4)}
 
 
 @dataclass

@@ -308,6 +308,7 @@ def cmd_profile(args) -> int:
         dump_flamegraph,
         render_heat,
         render_hot_traces,
+        render_tally,
         to_prometheus,
     )
 
@@ -374,11 +375,7 @@ def cmd_profile(args) -> int:
             ("plan cache", plan_cache), ("trace cache", trace_cache),
         ):
             if counters:
-                tally = ", ".join(
-                    f"{key}={value}"
-                    for key, value in sorted(counters.items())
-                )
-                print(f"{label}: {tally}")
+                print(f"{label}: {render_tally(counters)}")
     return 0
 
 

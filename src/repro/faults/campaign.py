@@ -264,26 +264,22 @@ def _harvest_run(
 ) -> None:
     """Fold one finished (or aborted) run into a metrics rollup.
 
-    The scenario simulator is fresh, so its lifetime plan-cache stats
-    *are* the run's stats: a plan it took from the program image's
-    shared table still counts as its own decode, so the counters are
-    what a simulator decoding everything itself reports.  Harvesting
+    A simulator's cache counters count from zero at run start, so they
+    are this run's: a plan it took from the program image's shared
+    table still counts as its own decode, so the counters are what a
+    simulator decoding everything itself reports.  Harvesting
     from the simulator rather than the :class:`RunResult` also covers
     runs that ended in a typed error, where no result object exists
     but the recorder kept counting right up to the abort.
     """
     profile = simulator.recorder.profile
-    plan_counters = None
-    trace_counters = None
-    if simulator.engine in ("decoded", "traced"):
-        plan_counters = simulator.plan_cache_counters(
-            profile.instructions, None
-        )
-    if simulator.engine == "traced":
-        # Scenario runs carry injectors, which admission bars from the
-        # JIT, so they harvest all-zero counters; the golden run's
-        # compiles, dispatches and bailouts land here.
-        trace_counters = simulator.trace_cache_counters(None)
+    # Scenario runs carry injectors, which admission bars from the
+    # JIT, so under the traced engine they harvest all-zero trace
+    # counters; the golden run's compiles, dispatches and bailouts
+    # land here.
+    plan_counters, trace_counters = simulator.cache_counters(
+        profile.instructions
+    )
     metrics.add_run(
         profile, classification=classification,
         plan_cache=plan_counters, trace_cache=trace_counters,
@@ -616,27 +612,14 @@ def run_campaign(
             f"unknown language {lang!r}; expected one of "
             f"{', '.join(language_names())}"
         ) from None
-    cache_before = None
-    if cache is not None and collect_metrics:
-        cache_before = (
-            cache.stats.hits, cache.stats.misses, cache.stats.disk_hits,
-            cache.stats.evictions, cache.stats.corrupt,
-        )
+    cache_before = (
+        cache.stats.copy() if cache is not None and collect_metrics
+        else None
+    )
     result = spec.compile(
         source, machine, tracer=tracer, restart_safe=restart_safe,
         cache=cache,
     )
-    golden_cache_delta = None
-    if cache_before is not None:
-        from repro.cache import CacheStats
-
-        golden_cache_delta = CacheStats(
-            hits=cache.stats.hits - cache_before[0],
-            misses=cache.stats.misses - cache_before[1],
-            disk_hits=cache.stats.disk_hits - cache_before[2],
-            evictions=cache.stats.evictions - cache_before[3],
-            corrupt=cache.stats.corrupt - cache_before[4],
-        )
     campaign = run_campaign_loaded(
         result.loaded, machine,
         n=n, seed=seed, lang=lang, plan=plan,
@@ -647,8 +630,8 @@ def run_campaign(
         jobs=jobs, engine=engine,
         collect_metrics=collect_metrics, deadline_s=deadline_s,
     )
-    if golden_cache_delta is not None and campaign.metrics is not None:
-        campaign.metrics.add_cache(golden_cache_delta)
+    if cache_before is not None and campaign.metrics is not None:
+        campaign.metrics.add_cache(cache.stats - cache_before)
     return campaign
 
 

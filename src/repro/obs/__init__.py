@@ -16,11 +16,7 @@ Everything defaults off: the :data:`NULL_TRACER` singleton and a
 ``recorder=None`` simulator cost one attribute test per call site.
 """
 
-from repro.obs.aggregate import (
-    CampaignMetrics,
-    merge_cache_stats,
-    merge_profiles,
-)
+from repro.obs.aggregate import CampaignMetrics, merge_profiles
 from repro.obs.events import (
     CAT_WARNING,
     PH_COMPLETE,
@@ -52,7 +48,13 @@ from repro.obs.hotpath import (
     analyze_profile,
     render_hot_traces,
 )
-from repro.obs.metrics import Counters, StageStat, stage_breakdown
+from repro.obs.metrics import (
+    CounterBlock,
+    Counters,
+    StageStat,
+    render_tally,
+    stage_breakdown,
+)
 from repro.obs.timeline import SimProfile, TraceRecorder
 from repro.obs.tracer import NULL_TRACER, NullTracer, Span, Tracer
 
@@ -60,6 +62,7 @@ __all__ = [
     "BasicBlock",
     "CAT_WARNING",
     "CampaignMetrics",
+    "CounterBlock",
     "Counters",
     "Event",
     "HotPathAnalysis",
@@ -83,12 +86,12 @@ __all__ = [
     "dump_flamegraph",
     "dump_jsonl",
     "load_jsonl",
-    "merge_cache_stats",
     "merge_profiles",
     "render_compile_report",
     "render_heat",
     "render_hot_traces",
     "render_hotspots",
+    "render_tally",
     "stage_breakdown",
     "to_chrome_trace",
     "to_collapsed_stacks",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cache import CacheStats
-from repro.obs.metrics import Counters
+from repro.obs.metrics import Counters, render_tally
 from repro.obs.timeline import SimProfile
 
 
@@ -51,10 +51,10 @@ def merge_profiles(a: SimProfile, b: SimProfile) -> SimProfile:
             else b.entry if a.entry is None
             else min(a.entry, b.entry)
         ),
-        exec_counts=Counters(a.exec_counts.data),
-        cycle_counts=Counters(a.cycle_counts.data),
-        edge_counts=Counters(a.edge_counts.data),
-        field_util=Counters(a.field_util.data),
+        exec_counts=a.exec_counts + b.exec_counts,
+        cycle_counts=a.cycle_counts + b.cycle_counts,
+        edge_counts=a.edge_counts + b.edge_counts,
+        field_util=a.field_util + b.field_util,
         mi_text=dict(a.mi_text),
         instructions=a.instructions + b.instructions,
         busy_cycles=a.busy_cycles + b.busy_cycles,
@@ -65,27 +65,12 @@ def merge_profiles(a: SimProfile, b: SimProfile) -> SimProfile:
         interrupts=a.interrupts + b.interrupts,
         decodes=a.decodes + b.decodes,
     )
-    merged.exec_counts.merge(b.exec_counts)
-    merged.cycle_counts.merge(b.cycle_counts)
-    merged.edge_counts.merge(b.edge_counts)
-    merged.field_util.merge(b.field_util)
     for address, text in b.mi_text.items():
         existing = merged.mi_text.get(address)
         merged.mi_text[address] = (
             text if existing is None else min(existing, text)
         )
     return merged
-
-
-def merge_cache_stats(a: CacheStats, b: CacheStats) -> CacheStats:
-    """Pure field-wise sum of two compile-cache stat blocks."""
-    return CacheStats(
-        hits=a.hits + b.hits,
-        misses=a.misses + b.misses,
-        disk_hits=a.disk_hits + b.disk_hits,
-        evictions=a.evictions + b.evictions,
-        corrupt=a.corrupt + b.corrupt,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -119,23 +104,26 @@ class CampaignMetrics:
     plan_cache: Counters = field(default_factory=Counters)
     trace_cache: Counters = field(default_factory=Counters)
 
+    #: The keyed tallies, in report order, with their text labels.
+    TALLIES = (
+        ("classifications", "outcomes"),
+        ("difftest", "difftest"),
+        ("plan_cache", "plan cache"),
+        ("trace_cache", "trace cache"),
+    )
+
     # ------------------------------------------------------------------
     def merge(self, other: "CampaignMetrics") -> "CampaignMetrics":
         """Pure merge; the laws make any shard grouping equivalent."""
-        merged = CampaignMetrics(
+        return CampaignMetrics(
             runs=self.runs + other.runs,
             profile=merge_profiles(self.profile, other.profile),
-            classifications=Counters(self.classifications.data),
-            difftest=Counters(self.difftest.data),
-            cache=merge_cache_stats(self.cache, other.cache),
-            plan_cache=Counters(self.plan_cache.data),
-            trace_cache=Counters(self.trace_cache.data),
+            cache=self.cache + other.cache,
+            **{
+                name: getattr(self, name) + getattr(other, name)
+                for name, _ in self.TALLIES
+            },
         )
-        merged.classifications.merge(other.classifications)
-        merged.difftest.merge(other.difftest)
-        merged.plan_cache.merge(other.plan_cache)
-        merged.trace_cache.merge(other.trace_cache)
-        return merged
 
     @classmethod
     def merged(cls, parts: list["CampaignMetrics"]) -> "CampaignMetrics":
@@ -161,57 +149,39 @@ class CampaignMetrics:
         if classification is not None:
             self.classifications.inc(classification)
         if plan_cache:
-            for key, value in plan_cache.items():
-                self.plan_cache.inc(key, value)
+            self.plan_cache.merge(plan_cache)
         if trace_cache:
-            for key, value in trace_cache.items():
-                self.trace_cache.inc(key, value)
+            self.trace_cache.merge(trace_cache)
 
     def add_cache(self, stats: CacheStats) -> None:
         """Fold one compile-cache stats block in place."""
-        self.cache = merge_cache_stats(self.cache, stats)
+        self.cache = self.cache + stats
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         """Deterministic dict form (sorted keys, no wall-clock)."""
-        return {
+        payload = {
             "runs": self.runs,
             "profile": self.profile.to_json(),
-            "classifications": {
-                str(k): v for k, v in sorted(self.classifications.items())
-            },
-            "difftest": {
-                str(k): v for k, v in sorted(self.difftest.items())
-            },
             "cache": self.cache.to_json(),
-            "plan_cache": {
-                str(k): int(v) for k, v in sorted(self.plan_cache.items())
-            },
-            "trace_cache": {
-                str(k): int(v) for k, v in sorted(self.trace_cache.items())
-            },
         }
+        for name, _ in self.TALLIES:
+            payload[name] = {
+                str(k): v for k, v in sorted(getattr(self, name).items())
+            }
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "CampaignMetrics":
         """Inverse of :meth:`to_json` (cache hit_rate is derived)."""
-        cache = payload.get("cache", {})
         return cls(
             runs=payload.get("runs", 0),
             profile=SimProfile.from_json(payload.get("profile", {})),
-            classifications=Counters(
-                dict(payload.get("classifications", {}))
-            ),
-            difftest=Counters(dict(payload.get("difftest", {}))),
-            cache=CacheStats(
-                hits=cache.get("hits", 0),
-                misses=cache.get("misses", 0),
-                disk_hits=cache.get("disk_hits", 0),
-                evictions=cache.get("evictions", 0),
-                corrupt=cache.get("corrupt", 0),
-            ),
-            plan_cache=Counters(dict(payload.get("plan_cache", {}))),
-            trace_cache=Counters(dict(payload.get("trace_cache", {}))),
+            cache=CacheStats.from_json(payload.get("cache", {})),
+            **{
+                name: Counters(payload.get(name))
+                for name, _ in cls.TALLIES
+            },
         )
 
     def render(self) -> str:
@@ -223,30 +193,10 @@ class CampaignMetrics:
             f"{profile.total_cycles()} cycles "
             f"({profile.traps} traps, {profile.interrupts} interrupts)",
         ]
-        if self.classifications:
-            tally = ", ".join(
-                f"{name}={int(count)}"
-                for name, count in sorted(self.classifications.items())
-            )
-            lines.append(f"  outcomes: {tally}")
-        if self.difftest:
-            tally = ", ".join(
-                f"{name}={int(count)}"
-                for name, count in sorted(self.difftest.items())
-            )
-            lines.append(f"  difftest: {tally}")
-        if self.plan_cache:
-            tally = ", ".join(
-                f"{name}={int(count)}"
-                for name, count in sorted(self.plan_cache.items())
-            )
-            lines.append(f"  plan cache: {tally}")
-        if self.trace_cache:
-            tally = ", ".join(
-                f"{name}={int(count)}"
-                for name, count in sorted(self.trace_cache.items())
-            )
-            lines.append(f"  trace cache: {tally}")
+        for name, label in self.TALLIES:
+            counts = getattr(self, name)
+            if counts:
+                lines.append(f"  {label}: {render_tally(counts)}")
         if self.cache.probes():
             lines.append(
                 f"  compile cache: {self.cache.hits} hits / "

@@ -159,15 +159,52 @@ def _prom_escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _prom_series(
-    name: str, labels: dict, value, *, out: list[str]
-) -> None:
-    rendered = ",".join(
-        f'{key}="{_prom_escape(str(val))}"'
-        for key, val in sorted(labels.items())
+def family(name: str, kind: str, help_text: str, series) -> str:
+    """One Prometheus metric family in text exposition format.
+
+    Its ``# HELP`` and ``# TYPE`` lines, then one sample per
+    ``(labels, value)`` pair of ``series`` in the order given (labels
+    sorted by key; no labels renders the bare name).  Every exposition
+    the toolkit writes — ``/metrics``, ``profile --prometheus`` and
+    campaign rollups — is a table of these.
+    """
+    lines = [f"# HELP {name} {help_text}", f"# TYPE {name} {kind}"]
+    for labels, value in series:
+        rendered = ",".join(
+            f'{key}="{_prom_escape(str(val))}"'
+            for key, val in sorted(labels.items())
+        )
+        lines.append(f"{name}{{{rendered}}} {value}" if rendered
+                     else f"{name} {value}")
+    return "\n".join(lines) + "\n"
+
+
+def by_label(label: str, counts) -> list[tuple[dict, int]]:
+    """A tally's series: one sample per key, in key order."""
+    return [
+        ({label: key}, int(value)) for key, value in sorted(counts.items())
+    ]
+
+
+def render_families(namespace: str, table) -> str:
+    """A whole document from ``(suffix, kind, help, series)`` rows."""
+    return "".join(
+        family(f"{namespace}_{suffix}", kind, help_text, series)
+        for suffix, kind, help_text, series in table
     )
-    out.append(f"{name}{{{rendered}}} {value}" if rendered
-               else f"{name} {value}")
+
+
+#: Profile totals exported one family each: (attribute, help).
+_PROFILE_TOTALS = (
+    ("instructions", "Microinstructions executed"),
+    ("busy_cycles", "Cycles spent executing microinstructions"),
+    ("trap_cycles", "Cycles charged to microtrap service"),
+    ("interrupt_cycles", "Cycles charged to interrupt service"),
+    ("traps", "Microtraps serviced"),
+    ("interrupts", "Interrupts serviced"),
+    ("polls", "poll micro-operations executed"),
+    ("decodes", "Control-store words lowered to execution plans"),
+)
 
 
 def to_prometheus(
@@ -181,93 +218,65 @@ def to_prometheus(
 
     ``source`` is a :class:`SimProfile` or a
     :class:`~repro.obs.aggregate.CampaignMetrics`; the rollup form
-    additionally exposes classification, difftest, compile-cache,
-    plan-cache and trace-cache counter families.  For a bare profile,
-    ``plan_cache=`` / ``trace_cache=`` attach one run's cache
-    counters (``RunResult.plan_cache`` / ``RunResult.trace_cache``) —
-    a replayed profile carries none, so passing nothing keeps replay
-    exports byte-identical to their original files.  Output is
-    deterministically ordered (sorted labels and series), so scrapes
-    of merged shard rollups are byte-identical to serial ones.
+    additionally exposes classification, difftest, plan-cache,
+    trace-cache and compile-cache counter families (each declared
+    even when empty).  For a bare profile, ``plan_cache=`` /
+    ``trace_cache=`` attach one run's cache counters
+    (``RunResult.plan_cache`` / ``RunResult.trace_cache``) and their
+    families appear only when given — a replayed profile carries none,
+    so passing nothing keeps replay exports byte-identical to their
+    original files.  Output is deterministically ordered (sorted
+    labels and series), so scrapes of merged shard rollups are
+    byte-identical to serial ones.
     """
     from repro.obs.aggregate import CampaignMetrics
 
     metrics = source if isinstance(source, CampaignMetrics) else None
     profile = metrics.profile if metrics is not None else source
-    run_labels = {"program": profile.program, "machine": profile.machine}
-    lines: list[str] = []
-
-    def family(suffix: str, kind: str, help_text: str) -> str:
-        name = f"{namespace}_{suffix}"
-        lines.append(f"# HELP {name} {help_text}")
-        lines.append(f"# TYPE {name} {kind}")
-        return name
-
-    for attr, help_text in (
-        ("instructions", "Microinstructions executed"),
-        ("busy_cycles", "Cycles spent executing microinstructions"),
-        ("trap_cycles", "Cycles charged to microtrap service"),
-        ("interrupt_cycles", "Cycles charged to interrupt service"),
-        ("traps", "Microtraps serviced"),
-        ("interrupts", "Interrupts serviced"),
-        ("polls", "poll micro-operations executed"),
-        ("decodes", "Control-store words lowered to execution plans"),
-    ):
-        name = family(f"sim_{attr}_total", "counter", help_text)
-        _prom_series(name, run_labels, getattr(profile, attr), out=lines)
-
-    name = family("sim_address_cycles_total", "counter",
-                  "Cycles spent per control-store address")
-    for address, cycles in sorted(profile.cycle_counts.items()):
-        _prom_series(
-            name, {**run_labels, "address": address}, int(cycles), out=lines,
-        )
-    name = family("sim_address_executions_total", "counter",
-                  "Executions per control-store address")
-    for address, count in sorted(profile.exec_counts.items()):
-        _prom_series(
-            name, {**run_labels, "address": address}, int(count), out=lines,
-        )
-
+    run = {"program": profile.program, "machine": profile.machine}
+    table = [
+        (f"sim_{attr}_total", "counter", help_text,
+         [(run, getattr(profile, attr))])
+        for attr, help_text in _PROFILE_TOTALS
+    ]
+    table += [
+        ("sim_address_cycles_total", "counter",
+         "Cycles spent per control-store address",
+         [({**run, "address": address}, int(cycles))
+          for address, cycles in sorted(profile.cycle_counts.items())]),
+        ("sim_address_executions_total", "counter",
+         "Executions per control-store address",
+         [({**run, "address": address}, int(count))
+          for address, count in sorted(profile.exec_counts.items())]),
+    ]
     if metrics is not None:
-        name = family("campaign_runs_total", "counter",
-                      "Simulated runs aggregated into this rollup")
-        _prom_series(name, {}, metrics.runs, out=lines)
-        name = family("campaign_outcomes_total", "counter",
-                      "Fault-campaign outcome classifications")
-        for cls, count in sorted(metrics.classifications.items()):
-            _prom_series(
-                name, {"classification": cls}, int(count), out=lines,
-            )
-        name = family("difftest_total", "counter",
-                      "Differential-testing tallies")
-        for key, count in sorted(metrics.difftest.items()):
-            _prom_series(name, {"kind": key}, int(count), out=lines)
-        name = family("plan_cache_total", "counter",
-                      "Decoded-engine plan cache events")
-        for key, count in sorted(metrics.plan_cache.items()):
-            _prom_series(name, {"event": key}, int(count), out=lines)
-        name = family("trace_cache_total", "counter",
-                      "Traced-engine trace cache events")
-        for key, count in sorted(metrics.trace_cache.items()):
-            _prom_series(name, {"event": key}, int(count), out=lines)
-        name = family("compile_cache_total", "counter",
-                      "Compile cache events")
-        for key, count in sorted(metrics.cache.to_json().items()):
-            if key == "hit_rate":
-                continue
-            _prom_series(name, {"event": key}, int(count), out=lines)
-    if plan_cache:
-        name = family("plan_cache_total", "counter",
-                      "Decoded-engine plan cache events")
-        for key, count in sorted(plan_cache.items()):
-            _prom_series(name, {"event": key}, int(count), out=lines)
-    if trace_cache:
-        name = family("trace_cache_total", "counter",
-                      "Traced-engine trace cache events")
-        for key, count in sorted(trace_cache.items()):
-            _prom_series(name, {"event": key}, int(count), out=lines)
-    return "\n".join(lines) + "\n"
+        plan_cache, trace_cache = metrics.plan_cache, metrics.trace_cache
+        table += [
+            ("campaign_runs_total", "counter",
+             "Simulated runs aggregated into this rollup",
+             [({}, metrics.runs)]),
+            ("campaign_outcomes_total", "counter",
+             "Fault-campaign outcome classifications",
+             by_label("classification", metrics.classifications)),
+            ("difftest_total", "counter", "Differential-testing tallies",
+             by_label("kind", metrics.difftest)),
+        ]
+    table += [
+        (suffix, "counter", help_text, by_label("event", counts))
+        for suffix, help_text, counts in (
+            ("plan_cache_total", "Decoded-engine plan cache events",
+             plan_cache),
+            ("trace_cache_total", "Traced-engine trace cache events",
+             trace_cache),
+        )
+        if metrics is not None or counts
+    ]
+    if metrics is not None:
+        cache = metrics.cache.to_json()
+        del cache["hit_rate"]
+        table.append(("compile_cache_total", "counter",
+                      "Compile cache events", by_label("event", cache)))
+    return render_families(namespace, table)
 
 
 # ----------------------------------------------------------------------

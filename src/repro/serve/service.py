@@ -196,7 +196,7 @@ class ReproService:
         )
         if not overloaded and not shed_campaign:
             return None
-        self.metrics.record_shed(job_class)
+        self.metrics.shed.inc(job_class)
         return {
             "error": "overloaded",
             "class": job_class,
@@ -283,13 +283,13 @@ class ReproService:
                 deadline_s <= leader_requested_s
                 or leader_deadline - loop.time() >= deadline_s
             ):
-                self.metrics.record_dedup(job_class)
+                self.metrics.dedup.inc(job_class)
                 outcome = await asyncio.shield(leader)
                 return self._respond(job_class, deadline_s, outcome)
         shed = self._admit(job_class)
         if shed is not None:
             return 429, shed, {"Retry-After": "1"}
-        self.metrics.record_accept(job_class)
+        self.metrics.accepted.inc(job_class)
         self._active[job_class] += 1
         batch_key = None
         if job_class == "run":
@@ -299,7 +299,7 @@ class ReproService:
             if refusal is None:
                 batch_key = batch_group_key(job)
             else:
-                self.metrics.record_lockstep_refusal(refusal)
+                self.metrics.batch_refused.inc(refusal)
         task = asyncio.ensure_future(asyncio.wrap_future(
             self.pool.submit(job, key=job_key(job), deadline_s=deadline_s,
                              batch_key=batch_key)
@@ -322,7 +322,8 @@ class ReproService:
     def _respond(self, job_class: str, deadline_s: float,
                  outcome: dict) -> tuple:
         status = outcome.get("status", "error")
-        self.metrics.record_outcome(job_class, status)
+        self.metrics.completed.inc(job_class)
+        self.metrics.statuses.inc(status)
         if job_class == "campaign" and status == "ok":
             self.metrics.fold_campaign(outcome.get("result") or {})
         body = {"class": job_class, "deadline_s": deadline_s, **outcome}

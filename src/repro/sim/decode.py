@@ -81,6 +81,7 @@ from repro.mir.block import (
     Ret,
 )
 from repro.mir.operands import Imm, Reg
+from repro.obs.metrics import CounterBlock
 from repro.sim import ops
 from repro.sim.ops import OPS, Op, step_factory
 from repro.sim.semantics import condition_holds, evaluate
@@ -157,24 +158,25 @@ class ExecutionPlan:
 
 
 @dataclass
-class PlanCacheStats:
-    """Lifetime counters of one :class:`PlanCache`.
+class PlanCacheStats(CounterBlock):
+    """The current run's counters of one :class:`PlanCache`.
 
-    Both counters are maintained on cold paths only (a decode, a
-    wholesale invalidation), so the hot fetch-plan-execute loop never
-    pays for them; per-run hit counts are derived in
-    :meth:`repro.sim.simulator.Simulator.run` as executed instructions
-    minus decodes — under the decoded engine every executed
-    microinstruction runs exactly one plan.
+    ``Simulator.run`` starts a fresh block at every run start, so the
+    block *is* that run's counts (``RunResult.plan_cache`` adds the
+    derived ``hits``: executed microinstructions minus ``misses`` —
+    under the decoded engine every executed microinstruction runs
+    exactly one plan).  Both counters are bumped on cold paths only
+    (a decode, a wholesale invalidation), so the hot
+    fetch-plan-execute loop never pays for them.
 
     Attributes:
-        decodes: Plans decoded and inserted (cache misses — including
-            re-decodes forced by a fault injector substituting a
-            mutated word, previously invisible).
+        misses: Plans decoded and inserted — including re-decodes
+            forced by a fault injector substituting a mutated word,
+            and plans taken from the program image's shared table.
         invalidations: Wholesale :meth:`PlanCache.invalidate` calls.
     """
 
-    decodes: int = 0
+    misses: int = 0
     invalidations: int = 0
 
 
@@ -225,7 +227,7 @@ class PlanCache:
         """Store a plan; ``direct=True`` additionally registers it on
         the fetch-free path (only legal when no injector can substitute
         the word at ``address``)."""
-        self.stats.decodes += 1
+        self.stats.misses += 1
         self._by_word[(resident.base, address, loaded.word)] = plan
         if direct:
             self.addr_plans(resident)[address] = plan

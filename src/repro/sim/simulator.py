@@ -44,8 +44,8 @@ from repro.sim.admission import (
     TRACE_JIT,
     fast_path_refusal,
 )
-from repro.sim.decode import PlanCache, decode_word
-from repro.sim.trace import TraceJIT
+from repro.sim.decode import PlanCache, PlanCacheStats, decode_word
+from repro.sim.trace import TraceJIT, TraceStats
 from repro.sim.semantics import STATEFUL_OPS, condition_holds, evaluate
 from repro.sim.state import MachineState, StateBackend
 
@@ -79,11 +79,14 @@ class RunResult:
 
     ``trace_cache`` holds this run's trace-JIT counters under the
     traced engine (``hits``/``misses``/``invalidations``/
-    ``bailouts`` — dispatches that made progress, traces installed,
-    wholesale drops, guard bailouts) and is None otherwise.  A trace
-    installed from the image's shared table counts as a miss, as one
-    stitched afresh does.  All zeros when :mod:`repro.sim.admission`
-    refused the JIT.
+    ``bailouts`` — trace dispatches, traces installed, wholesale
+    drops, guard bailouts) and is None otherwise.  Every dispatch is a
+    hit, including one whose guard refuses the very first
+    microinstruction, which is also a bailout.  A trace installed from
+    the image's shared table counts as a miss, as one stitched afresh
+    does.  All zeros when :mod:`repro.sim.admission` refused the JIT.
+
+    Both dicts come from :meth:`Simulator.cache_counters`.
     """
 
     cycles: int
@@ -220,9 +223,7 @@ class Simulator:
         decoded = self.engine in ("decoded", "traced")
         plans = None
         fast_plans = None
-        plan_stats_before = None
         jit = None
-        trace_stats_before = None
         # Addresses whose fetched word the injector may replace stay
         # off the address-keyed map, and a step run from the map calls
         # the injector only if it asks for every boundary
@@ -243,11 +244,10 @@ class Simulator:
             interrupt_every=bool(self.interrupt_every),
             deadline=deadline is not None,
         )
-        if self.engine == "traced" and self._trace_jit is not None:
-            # Snapshot before begin_run: a store swap detected there
-            # invalidates on behalf of *this* run, so the drop belongs
-            # in this run's trace_cache delta.
-            trace_stats_before = self._trace_jit.stats.snapshot()
+        if self._trace_jit is not None:
+            # This run's counters start before begin_run: a store swap
+            # detected there invalidates on behalf of *this* run.
+            self._trace_jit.stats = TraceStats()
         if fast_path_refusal(TRACE_JIT, **shape) is None:
             if self._trace_jit is None:
                 self._trace_jit = TraceJIT(self)
@@ -258,13 +258,11 @@ class Simulator:
                 self._plan_cache = PlanCache()
                 self._plan_store = self.store
             plans = self._plan_cache
-            plan_stats_before = (
-                plans.stats.decodes, plans.stats.invalidations,
-            )
+            plans.stats = PlanCacheStats()
             if self._plan_store is not self.store:
                 # The control store was replaced: its words may not be
                 # the ones these plans were lowered from.  Dropped after
-                # the snapshot, so the drop counts in this run.
+                # this run's counters start, so the drop counts here.
                 plans.invalidate()
                 self._plan_store = self.store
             if fast_path_refusal(PLAN_LOOKUP, **shape) is None:
@@ -420,26 +418,16 @@ class Simulator:
                     # JIT arms recording for the next iteration.
                     jit.note_back_edge(state.upc)
 
-        plan_counters = None
-        if decoded:
-            plan_counters = self.plan_cache_counters(
-                instructions, plan_stats_before
-            )
-            if recorder is not None and recorder.tracer.enabled:
-                recorder.tracer.emit(
-                    Event(name="sim.plan_cache", cat="sim", ph=PH_INSTANT,
-                          ts=state.cycles, track=TRACK_SIM,
-                          args=dict(plan_counters))
-                )
-        trace_counters = None
-        if self.engine == "traced":
-            trace_counters = self.trace_cache_counters(trace_stats_before)
-            if recorder is not None and recorder.tracer.enabled:
-                recorder.tracer.emit(
-                    Event(name="sim.trace_cache", cat="sim", ph=PH_INSTANT,
-                          ts=state.cycles, track=TRACK_SIM,
-                          args=dict(trace_counters))
-                )
+        plan_counters, trace_counters = self.cache_counters(instructions)
+        if recorder is not None and recorder.tracer.enabled:
+            for name, counters in (("sim.plan_cache", plan_counters),
+                                   ("sim.trace_cache", trace_counters)):
+                if counters is not None:
+                    recorder.tracer.emit(
+                        Event(name=name, cat="sim", ph=PH_INSTANT,
+                              ts=state.cycles, track=TRACK_SIM,
+                              args=dict(counters))
+                    )
         return RunResult(
             cycles=state.cycles - start_cycles,
             instructions=instructions,
@@ -453,52 +441,29 @@ class Simulator:
         )
 
     # ------------------------------------------------------------------
-    def plan_cache_counters(
-        self, instructions: int, before: tuple[int, int] | None
-    ) -> dict[str, int]:
-        """This run's plan-cache counters from the lifetime stats.
+    def cache_counters(
+        self, instructions: int
+    ) -> tuple[dict[str, int] | None, dict[str, int] | None]:
+        """The current run's plan-cache and trace-JIT counters, as
+        :class:`RunResult` carries them (None under an engine without
+        that cache).
 
-        Under the decoded engine every executed microinstruction runs
-        exactly one plan, so per-run hits are executed instructions
-        minus the decodes the run added — derived on the cold path
-        instead of counted in the hot loop.
+        Both blocks count from zero at run start, so this also reads a
+        run that ended in an error.  Plan ``hits`` are derived, not
+        counted in the hot loop: under the decoded engine every
+        executed microinstruction runs exactly one plan, so they are
+        ``instructions`` minus the run's decodes.
         """
-        stats = self._plan_cache.stats if self._plan_cache else None
-        decodes_before, invalidations_before = before or (0, 0)
-        misses = (stats.decodes - decodes_before) if stats else 0
-        invalidations = (
-            (stats.invalidations - invalidations_before) if stats else 0
-        )
-        return {
-            "hits": max(0, instructions - misses),
-            "misses": misses,
-            "invalidations": invalidations,
-        }
-
-    # ------------------------------------------------------------------
-    def trace_cache_counters(
-        self, before: tuple[int, int, int, int] | None
-    ) -> dict[str, int]:
-        """This run's trace-JIT counters from the lifetime stats.
-
-        Plan-cache style: ``hits`` are trace dispatches that made
-        progress, ``misses`` are traces stitched (compiles),
-        ``invalidations`` wholesale drops, ``bailouts`` guard exits
-        that abandoned a loop body mid-iteration.  All zeros when the
-        JIT never engaged (see :mod:`repro.sim.admission`).
-        """
-        jit = self._trace_jit
-        if jit is None:
-            return {"hits": 0, "misses": 0, "invalidations": 0,
-                    "bailouts": 0}
-        compiles, enters, bailouts, invalidations = before or (0, 0, 0, 0)
-        stats = jit.stats
-        return {
-            "hits": stats.enters - enters,
-            "misses": stats.compiles - compiles,
-            "invalidations": stats.invalidations - invalidations,
-            "bailouts": stats.bailouts - bailouts,
-        }
+        plan = trace = None
+        if self.engine in ("decoded", "traced"):
+            stats = (self._plan_cache.stats if self._plan_cache is not None
+                     else PlanCacheStats())
+            plan = {"hits": max(0, instructions - stats.misses),
+                    **stats.to_json()}
+        if self.engine == "traced":
+            jit = self._trace_jit
+            trace = (jit.stats if jit is not None else TraceStats()).to_json()
+        return plan, trace
 
     # ------------------------------------------------------------------
     def _service_trap(

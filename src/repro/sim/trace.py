@@ -78,6 +78,7 @@ from repro.errors import MicroTrap
 from repro.mir.block import Multiway
 from repro.mir.operands import Reg
 from repro.obs.events import PH_INSTANT, TRACK_SIM, Event
+from repro.obs.metrics import CounterBlock
 from repro.sim.decode import (
     _COND_TESTS,
     ScalarSteps,
@@ -112,33 +113,28 @@ class TraceUnsupported(Exception):
 
 
 @dataclass
-class TraceStats:
-    """Lifetime counters of one :class:`TraceJIT`.
+class TraceStats(CounterBlock):
+    """The current run's counters of one :class:`TraceJIT`, exported
+    field for field as ``RunResult.trace_cache``.
 
-    Mirrors the :class:`~repro.sim.decode.PlanCacheStats` philosophy:
-    maintained off the hot path (a compile, an exit, an abort), with
-    per-run deltas derived in ``Simulator.run``.
+    Like :class:`~repro.sim.decode.PlanCacheStats`, ``Simulator.run``
+    starts a fresh block at every run start, and every bump is one
+    attribute add off the per-microinstruction path (a dispatch, a
+    compile, an invalidation).
     """
 
-    #: Traces stitched and installed (cache misses, plan-cache style).
-    compiles: int = 0
-    #: Trace dispatches that executed at least one microinstruction.
-    enters: int = 0
-    #: Microinstructions executed inside traces.
-    traced_mis: int = 0
+    #: Trace dispatches, including one whose guard refuses the very
+    #: first microinstruction (that one is also a bailout).
+    hits: int = 0
+    #: Traces installed: stitched afresh or taken from the program
+    #: image's shared table.
+    misses: int = 0
+    #: Wholesale :meth:`TraceJIT.invalidate` calls.
+    invalidations: int = 0
     #: Guard bailouts: trap exits, zero-progress dispatches, and
     #: mid-body side exits (a full-iteration loop exit is a normal
     #: return, not a bailout).
     bailouts: int = 0
-    #: Wholesale :meth:`TraceJIT.invalidate` calls.
-    invalidations: int = 0
-    #: Recordings abandoned (trap/EXIT mid-path, over-long path,
-    #: unsupported construct).
-    aborts: int = 0
-
-    def snapshot(self) -> tuple[int, int, int, int]:
-        return (self.compiles, self.enters, self.bailouts,
-                self.invalidations)
 
 
 class _TraceExit:
@@ -528,7 +524,12 @@ class TraceJIT:
         self.heat: dict[int, int] = {}
         self.blacklist: set[int] = set()
         self.recording: _Recording | None = None
+        #: This run's counters; ``Simulator.run`` replaces the block at
+        #: every run start.
         self.stats = TraceStats()
+        #: Recordings abandoned over the JIT's lifetime (trap or EXIT
+        #: mid-path, over-long path, unsupported construct).
+        self.aborts = 0
         self.store = simulator.store
         self.resident: ResidentProgram | None = None
         self._rt = _TraceExit()
@@ -580,7 +581,7 @@ class TraceJIT:
         recording = self.recording
         if state.halted:
             self.recording = None
-            self.stats.aborts += 1
+            self.aborts += 1
             return
         if loaded is None:
             loaded = self.store.fetch(current)
@@ -591,7 +592,7 @@ class TraceJIT:
         elif len(recording.elements) > self.max_trace_len:
             self.recording = None
             self.blacklist.add(recording.head)
-            self.stats.aborts += 1
+            self.aborts += 1
 
     def abort_recording(self) -> None:
         """Trap or error mid-recording: abandon the attempt (the head
@@ -599,7 +600,7 @@ class TraceJIT:
         loop that runs clean once its pages are mapped)."""
         if self.recording is not None:
             self.recording = None
-            self.stats.aborts += 1
+            self.aborts += 1
 
     # ------------------------------------------------------------------
     def _finalize(self, recording: _Recording) -> None:
@@ -607,11 +608,11 @@ class TraceJIT:
             trace = self._build(recording)
         except TraceUnsupported:
             self.blacklist.add(recording.head)
-            self.stats.aborts += 1
+            self.aborts += 1
             return
         self.traces[recording.head] = trace
         self.heat.pop(recording.head, None)
-        self.stats.compiles += 1
+        self.stats.misses += 1
         self._emit_event(
             "sim.trace.compile", head=recording.head,
             mis=trace.n, cycles=trace.iter_cycles,
@@ -664,7 +665,7 @@ class TraceJIT:
         (0 when a guard refused the very first one — the caller then
         falls through to the decoded path for forward progress)."""
         stats = self.stats
-        stats.enters += 1
+        stats.hits += 1
         rt = self._rt
         rt.completed = -1
         rt.reason = ""
@@ -676,7 +677,6 @@ class TraceJIT:
         except MicroTrap:
             executed = max(rt.completed, 0)
             self._pending = executed
-            stats.traced_mis += executed
             stats.bailouts += 1
             if recorder is not None and executed:
                 self._replay(trace, executed, cycles_entry, recorder)
@@ -685,7 +685,6 @@ class TraceJIT:
                 executed=executed, reason="trap",
             )
             raise
-        stats.traced_mis += executed
         if executed == 0 or executed % trace.n:
             stats.bailouts += 1
         if recorder is not None and executed:

@@ -79,10 +79,11 @@ import os
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as mp_wait
 
 from repro.obs.events import PH_COMPLETE, Event
+from repro.obs.metrics import CounterBlock
 from repro.obs.tracer import NULL_TRACER
 
 
@@ -318,8 +319,9 @@ class _Worker:
 
 
 @dataclass
-class PoolStats:
-    """Supervisor counters, exposed verbatim by ``/healthz``."""
+class PoolStats(CounterBlock):
+    """Supervisor counters, exposed verbatim (zeros included) by
+    ``/healthz`` and ``/metrics``."""
 
     submitted: int = 0
     completed: int = 0
@@ -335,9 +337,6 @@ class PoolStats:
     #: (lanes / flushes = mean batch occupancy).
     batch_flushes: int = 0
     batch_lanes: int = 0
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 class WorkerPool:

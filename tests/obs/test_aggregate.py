@@ -13,7 +13,6 @@ from repro.obs import (
     CampaignMetrics,
     Counters,
     SimProfile,
-    merge_cache_stats,
     merge_profiles,
 )
 
@@ -143,10 +142,12 @@ class TestMetricsMergeLaws:
     @given(a=cache_stats, b=cache_stats)
     @settings(max_examples=30, deadline=None)
     def test_cache_stats_merge_sums_fields(self, a, b):
-        merged = merge_cache_stats(a, b)
+        merged = a + b
         assert merged.hits == a.hits + b.hits
         assert merged.probes() == a.probes() + b.probes()
-        assert merge_cache_stats(a, CacheStats()).to_json() == a.to_json()
+        assert (a + CacheStats()).to_json() == a.to_json()
+        assert merged - b == a
+        assert CacheStats.from_json(merged.to_json()) == merged
 
 
 # ----------------------------------------------------------------------

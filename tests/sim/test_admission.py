@@ -232,7 +232,7 @@ def test_every_injector_kind_against_every_fast_path(kind, path, monkeypatch):
         run = simulator.run(name)
         counters = run.trace_cache
     except ReproError:
-        counters = simulator.trace_cache_counters(None)
+        counters = simulator.cache_counters(0)[1]
 
     if path == TRACE_JIT:
         assert counters["hits"] == counters["misses"] == 0, counters
