@@ -55,7 +55,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.asm.assembler import LoadedWord
 from repro.errors import FaultPlanError, MicroTrap
-from repro.mir.block import Branch
+from repro.mir.block import Branch, Jump
 from repro.mir.operands import Imm, Reg
 from repro.obs.events import PH_COMPLETE, TRACK_FAULTS, Event
 
@@ -378,17 +378,26 @@ def compute_flip_effect(
     if fld.name == "br_cond":
         decoded = fld.decode(new_code)
         terminator = instruction.terminator
-        if isinstance(decoded, str) and isinstance(terminator, Branch):
-            new_terminator = replace(terminator, cond=decoded)
-            new_instruction = replace_instruction(
+        if decoded == "NOP" or not isinstance(decoded, str) \
+                or not isinstance(terminator, Branch):
+            return effect("illegal", f"br_cond code {new_code} undecodable")
+        # The word branches to its br_addr label when the condition
+        # holds and falls through otherwise.  When the target is the
+        # next word the assembler stores the inverse condition and
+        # points br_addr at ``otherwise``.
+        taken, fallen = terminator.target, terminator.otherwise
+        if fld.decode(old_code) != terminator.cond:
+            taken, fallen = fallen, taken
+        new_terminator = (
+            Jump(taken) if decoded == "TRUE"
+            else Branch(decoded, taken, fallen)
+        )
+        return effect(
+            "condition", f"branch condition -> {decoded}",
+            loaded=_reword(loaded, replace_instruction(
                 instruction, terminator=new_terminator
-            )
-            return effect(
-                "condition", f"branch condition -> {decoded}",
-                loaded=_reword(loaded, new_instruction, fld.name,
-                               new_code, mutated_word),
-            )
-        return effect("illegal", f"br_cond code {new_code} undecodable")
+            ), fld.name, new_code, mutated_word),
+        )
     if fld.name == "br_mode":
         return effect("illegal", f"br_mode code {new_code}")
 

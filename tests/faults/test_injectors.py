@@ -14,9 +14,12 @@ from repro.faults import (
     build_injector,
     compute_flip_effect,
 )
+from repro.cli import main
 from repro.faults.campaign import default_trap_service
 from repro.lang.simpl import compile_simpl
+from repro.lang.yalll import compile_yalll
 from repro.mir import ProgramBuilder, mop, preg
+from repro.mir.block import Branch, Jump
 from repro.sim import Simulator
 
 
@@ -172,6 +175,74 @@ class TestControlStoreBitFlip:
         b = compute_flip_effect(hm1, word, bit)
         assert (a.kind, a.fieldname, a.old_code, a.new_code) == \
                (b.kind, b.fieldname, b.old_code, b.new_code)
+
+
+class TestBranchConditionFlip:
+    """A flipped ``br_cond`` is modelled from the word as encoded: the
+    new condition picks between the ``br_addr`` label and the label
+    the word falls through to, ``TRUE`` always jumps, and ``NOP`` is
+    an illegal encoding."""
+
+    #: ``word 3`` is ``sub counter ; br NZ -> loop`` (stored as NZ).
+    COUNTDOWN = (
+        "    put total,0\n    put counter,6\nloop:\n"
+        "    add total,total,counter\n    sub counter,counter,1\n"
+        "    jump loop if nonzero\n    exit total\n"
+    )
+    #: ``word 1`` is ``br NZ -> do2 else od3``; do2 is the next word,
+    #: so it is stored inverted as ``BR Z -> od3``.
+    MUL = (
+        "program mul;\nbegin\n    R0 -> R3;\n    while R2 # 0 do\n"
+        "    begin\n        R3 + R1 -> R3;\n        R2 - ONE -> R2;\n"
+        "    end;\nend\n"
+    )
+
+    def flip(self, machine, word, code_bit):
+        bit = machine.control.offset("br_cond") + code_bit
+        return compute_flip_effect(machine, word, bit)
+
+    def test_true_jumps_to_the_branch_target(self, hm1):
+        loaded = compile_yalll(self.COUNTDOWN, hm1).loaded
+        effect = self.flip(hm1, loaded.words[3], 1)  # NZ(3) -> TRUE(1)
+        assert effect.kind == "condition"
+        assert effect.loaded.instruction.terminator == Jump("loop")
+
+    def test_nop_is_an_illegal_encoding(self, hm1):
+        loaded = compile_simpl(self.MUL, hm1).loaded
+        effect = self.flip(hm1, loaded.words[1], 1)  # Z(2) -> NOP(0)
+        assert effect.kind == "illegal"
+
+    def test_inverted_branch_keeps_the_encoded_sense(self, hm1):
+        loaded = compile_simpl(self.MUL, hm1).loaded
+        terminator = loaded.words[1].instruction.terminator
+        assert terminator == Branch("NZ", "do2", "od3")
+        effect = self.flip(hm1, loaded.words[1], 0)  # Z(2) -> NZ(3)
+        assert effect.kind == "condition"
+        # BR NZ -> od3: leave the loop while R2 is non-zero.
+        assert effect.loaded.instruction.terminator == \
+            Branch("NZ", "od3", "do2")
+
+    @pytest.mark.parametrize("lang, source, args, bit, expected", [
+        ("yalll", COUNTDOWN, [], 122, "hang"),
+        ("simpl", MUL, ["--set", "R1=5", "--set", "R2=3"], 122, "hang"),
+        ("simpl", MUL, ["--set", "R1=5", "--set", "R2=3"], 121,
+         "masked     traps=0 cycles=3"),
+    ], ids=["true", "nop", "inverted"])
+    def test_faultsim_classifies_the_flip(
+        self, tmp_path, capsys, lang, source, args, bit, expected,
+    ):
+        path = tmp_path / f"prog.{lang}"
+        path.write_text(source)
+        address = 3 if lang == "yalll" else 1
+        code = main([
+            "faultsim", str(path), "--lang", lang, "--machine", "HM1",
+            *args, "--fault", f"bitflip:addr={address},bit={bit}",
+        ])
+        out = capsys.readouterr().out
+        assert code == (1 if expected == "hang" else 0)  # hangs fail
+        assert "unknown branch condition" not in out
+        scenario = out.splitlines()[-1].split()
+        assert scenario[2:2 + len(expected.split())] == expected.split()
 
 
 class TestBuildInjector:
