@@ -631,7 +631,7 @@ def run_campaign(
         collect_metrics=collect_metrics, deadline_s=deadline_s,
     )
     if cache_before is not None and campaign.metrics is not None:
-        campaign.metrics.add_cache(cache.stats - cache_before)
+        campaign.metrics.cache += cache.stats - cache_before
     return campaign
 
 

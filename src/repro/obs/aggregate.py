@@ -153,10 +153,6 @@ class CampaignMetrics:
         if trace_cache:
             self.trace_cache.merge(trace_cache)
 
-    def add_cache(self, stats: CacheStats) -> None:
-        """Fold one compile-cache stats block in place."""
-        self.cache = self.cache + stats
-
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
         """Deterministic dict form (sorted keys, no wall-clock)."""
