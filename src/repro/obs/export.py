@@ -11,7 +11,9 @@ Consumers and their formats:
   human-readable tables behind the CLI's ``--stats`` flag;
 * :func:`to_prometheus` — the Prometheus text exposition format, for
   scraping fleet-level :class:`~repro.obs.aggregate.CampaignMetrics`
-  (and single profiles) into dashboards;
+  (and single profiles) into dashboards; it and the service's
+  ``/metrics`` are tables rendered by :func:`family`, the one
+  Prometheus family renderer;
 * :func:`to_collapsed_stacks` — Brendan-Gregg collapsed-stack lines
   (``frame;frame value``) that ``flamegraph.pl`` / speedscope render
   directly, with loop nesting as the stack;
