@@ -75,7 +75,9 @@ class CampaignWorkerError(ReproError):
     (the historical ``multiprocessing.Pool`` failure mode) when a
     shard's worker is killed — segfault, OOM-kill, a ``kill:`` chaos
     injector — and re-running the shard keeps dying: the pool's
-    ``crashed`` (or ``quarantined``) outcome, typed.
+    ``crashed`` (or ``quarantined``) outcome, typed.  Also raised,
+    with ``requeues=0`` and no exit code, for a shard aborted because
+    the process's shard pool closed under the call (at exit).
 
     Attributes:
         shard_index: Which shard could not be completed.

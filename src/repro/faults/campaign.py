@@ -32,7 +32,10 @@ that break it — empty for programs transformed by
 
 from __future__ import annotations
 
-import functools
+import itertools
+import os
+import pickle
+import threading
 from dataclasses import dataclass, field
 
 from repro.asm.loader import ControlStore
@@ -64,6 +67,14 @@ DEFAULT_CYCLE_FACTOR = 64
 #: pure, so a re-run is byte-identical — retries only ever turn a
 #: transient host failure (OOM kill, stray signal) into a result.
 DEFAULT_SHARD_REQUEUES = 2
+
+#: The process's shard pool and its exit-time close, started by the
+#: first ``jobs > 1`` call (:func:`_shard_pool`); None before that, and
+#: in a forked child until the child shards a campaign of its own.
+_pool = None
+_pool_lock = threading.Lock()
+#: Numbers the sharded calls, so each call keys its own shards.
+_calls = itertools.count()
 
 
 def default_trap_service(state, trap) -> None:
@@ -213,11 +224,11 @@ class CampaignResult:
 class _ScenarioContext:
     """What every scenario run of one campaign shares.
 
-    The ``--jobs`` workers inherit it at fork, bound into their
-    handler, so a shard ships only its ``(index, FaultSpec)`` list —
-    and each forked worker starts from the plans the golden run left
-    in the program image's table (:func:`repro.sim.decode.image_tables`).
-    A worker started without fork receives the image without them.
+    A ``--jobs`` call pickles it once and ships it with each shard's
+    ``(index, FaultSpec)`` list to the long-lived shard pool's workers.
+    The program image pickles without its plans
+    (:func:`repro.sim.decode.image_tables`), so a worker decodes the
+    words its shard runs into the image it received.
     """
 
     machine: object
@@ -351,11 +362,12 @@ def run_campaign_loaded(
     injectors, which :mod:`repro.sim.admission` bars from the trace
     JIT and lockstep; every seeded injector declares what it touches,
     so scenario runs keep the address-keyed plan lookup off the
-    addresses a bit flip watches.  The golden run and every scenario
-    run one program image and share its plans
+    addresses a bit flip watches.  The golden run and every serial
+    scenario run one program image and share its plans
     (:func:`repro.sim.decode.image_tables`), so a word is lowered once
-    per image (once per ``--jobs`` worker beyond what the golden run
-    decoded), while each run's plan-cache counters stay its own.
+    per image; a ``--jobs`` shard receives the image without plans and
+    lowers the words it runs once more.  Each run's plan-cache
+    counters stay its own either way.
 
     ``collect_metrics`` attaches a profile recorder to the golden run
     and every scenario and folds the results into
@@ -454,59 +466,120 @@ def _shard_worker(context: _ScenarioContext, shard) -> tuple:
     return outcomes, metrics
 
 
-def _shard_lanes(context: _ScenarioContext, lanes) -> list[tuple]:
-    """Worker handler: one ``(ticket_id, response)`` per shard sent."""
+def _shard_lanes(lanes) -> list[tuple]:
+    """Worker handler: one ``(ticket_id, response)`` per shard sent.
+
+    A shard's job is ``(context, shard)``: its campaign's
+    :class:`_ScenarioContext`, pickled once by the caller, and the
+    shard's ``(index, FaultSpec)`` list.
+    """
     return [
         (ticket_id, {"status": "ok",
-                     "result": _shard_worker(context, shard)})
-        for ticket_id, shard, _, _ in lanes
+                     "result": _shard_worker(pickle.loads(context), shard)})
+        for ticket_id, (context, shard), _, _ in lanes
     ]
+
+
+def _shard_pool(workers: int):
+    """The process's shard pool, grown to at least ``workers`` workers.
+
+    The first sharded call starts it and later calls reuse it; idle
+    workers wait for the next call until the process exits.  It closes
+    from a :class:`multiprocessing.util.Finalize` above priority 0, so
+    before ``multiprocessing``'s exit handler terminates and joins
+    daemonic children: a supervisor still running then would respawn
+    the workers being joined.  A forked child forgets its parent's pool
+    (:func:`_forget_shard_pool`), whose supervisor thread it lacks.
+    The breaker threshold sits above the retry budget and keys are per
+    call, so the budget alone decides.
+    """
+    from multiprocessing.util import Finalize
+
+    from repro.supervisor import CircuitBreakers, WorkerPool
+
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            pool = WorkerPool(
+                workers,
+                handler=_shard_lanes,
+                max_requeues=DEFAULT_SHARD_REQUEUES,
+                breakers=CircuitBreakers(strikes=DEFAULT_SHARD_REQUEUES + 2),
+            )
+            pool.start()
+            _pool = pool, Finalize(
+                None, pool.close, kwargs={"drain": False}, exitpriority=10,
+            )
+        pool = _pool[0]
+        pool.grow(workers)
+        return pool
+
+
+def _close_shard_pool() -> None:
+    """Abort and reap the shard pool now; the next sharded call starts
+    a fresh one (tests that patch worker-side code need that)."""
+    global _pool
+    with _pool_lock:
+        owned, _pool = _pool, None
+    if owned is not None:
+        owned[1]()  # runs the pool's close once and unregisters it
+
+
+def _forget_shard_pool() -> None:
+    """In a forked child: the parent's pool, and its lock, which another
+    thread may have held at the fork, are not the child's."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_shard_pool)
 
 
 def _run_scenarios_parallel(
     indexed, context: _ScenarioContext, *, jobs: int,
 ) -> tuple[list[ScenarioOutcome], list[CampaignMetrics]]:
-    """Shard scenarios over the supervised worker pool, merge to index order.
+    """Shard scenarios over the process's shard pool, merge to index order.
 
-    Each shard is one job on :class:`repro.supervisor.WorkerPool`, so
+    Each shard is one job on the long-lived
+    :class:`repro.supervisor.WorkerPool` of :func:`_shard_pool`,
+    keyed by its call, and carries the context pickled once here.  So
     worker death is an *observed event*: a SIGKILLed worker (OOM,
     segfault, a ``kill:`` chaos injector) is detected, the shard is
     re-run up to :data:`DEFAULT_SHARD_REQUEUES` times, and persistent
     death surfaces as a typed :class:`~repro.errors.CampaignWorkerError`
     naming the shard, its re-queue count and the worker's exit code —
-    never a hang on a result that cannot come.  The breaker threshold
-    sits above the retry budget, so the budget alone decides.
+    never a hang on a result that cannot come.  Every shard is waited
+    for before that error is raised, so a failed call leaves no work
+    on the pool.
     """
-    from repro.supervisor import CircuitBreakers, WorkerPool
-
     jobs = min(jobs, len(indexed))
-    pool = WorkerPool(
-        jobs,
-        handler=functools.partial(_shard_lanes, context),
-        max_requeues=DEFAULT_SHARD_REQUEUES,
-        breakers=CircuitBreakers(strikes=DEFAULT_SHARD_REQUEUES + 2),
-    )
-    pool.start()
-    try:
-        futures = [
-            pool.submit(indexed[offset::jobs], key=f"shard-{offset}")
-            for offset in range(jobs)
-        ]
-        results = []
-        for shard_index, future in enumerate(futures):
-            response = future.result()
-            if response["status"] != "ok":  # crashed or quarantined
-                raise CampaignWorkerError(
-                    f"campaign shard {shard_index} worker died "
-                    f"(exit code {response['exitcode']}) and stayed dead "
-                    f"through {DEFAULT_SHARD_REQUEUES} re-queues",
-                    shard_index=shard_index,
-                    requeues=response["attempts"] - 1,
-                    exitcode=response["exitcode"],
-                )
-            results.append(response["result"])
-    finally:
-        pool.close(drain=False)
+    blob = pickle.dumps(context, protocol=pickle.HIGHEST_PROTOCOL)
+    call = next(_calls)
+    pool = _shard_pool(jobs)
+    futures = [
+        pool.submit((blob, indexed[offset::jobs]),
+                    key=f"campaign-{call}-shard-{offset}")
+        for offset in range(jobs)
+    ]
+    responses = [future.result() for future in futures]
+    for shard_index, response in enumerate(responses):
+        if response["status"] == "shutdown":
+            raise CampaignWorkerError(
+                f"campaign shard {shard_index} was aborted: the shard "
+                f"pool closed",
+                shard_index=shard_index, requeues=0,
+            )
+        if response["status"] != "ok":  # crashed or quarantined
+            raise CampaignWorkerError(
+                f"campaign shard {shard_index} worker died "
+                f"(exit code {response['exitcode']}) and stayed dead "
+                f"through {DEFAULT_SHARD_REQUEUES} re-queues",
+                shard_index=shard_index,
+                requeues=response["attempts"] - 1,
+                exitcode=response["exitcode"],
+            )
+    results = [response["result"] for response in responses]
     merged = sorted(
         (outcome for outcomes, _ in results for outcome in outcomes),
         key=lambda outcome: outcome.index,

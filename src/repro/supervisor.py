@@ -3,7 +3,7 @@
 Campaign ``--jobs`` shards and the ``repro serve`` pool both fan work
 out through :class:`WorkerPool`; nothing else spawns, waits on, reaps
 or re-queues worker processes.  A pool runs one ``handler`` fixed at
-construction and inherited by every worker at fork, so worker death,
+construction and given to every worker it starts, so worker death,
 retry budgets and exhaustion are decided here for both users, and this
 module needs neither the service layer nor ``asyncio``.
 
@@ -405,6 +405,20 @@ class WorkerPool:
             target=self._supervise, name="repro-supervisor", daemon=True
         )
         self._supervisor.start()
+
+    def grow(self, n_workers: int) -> None:
+        """Run at least ``n_workers`` workers from now on.
+
+        The new workers join idle; queued and in-flight work is left
+        as it is.  A pool never shrinks: idle workers wait for work
+        until :meth:`close`.
+        """
+        with self._lock:
+            if not self._started or self._closing:
+                return
+            while len(self._workers) < n_workers:
+                self._workers.append(_Worker(self._ctx, self.handler))
+            self._wake_locked()
 
     def _wake_locked(self) -> None:
         if self._wake_w is None:

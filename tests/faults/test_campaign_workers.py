@@ -7,7 +7,8 @@ process sentinel, re-queue the shard, and surface persistent death as
 :class:`~repro.errors.CampaignWorkerError` naming the shard and its
 re-queue count.  The injector kills deterministically on every run, so
 a recoverable crash — death on the first attempt only, success on the
-re-run — is staged by patching the shard body the workers fork with.
+re-run — is staged by patching the shard body, on workers of a shard
+pool started after the patch.
 """
 
 import os
@@ -114,7 +115,7 @@ class TestSharedSupervisor:
     """Campaign shards run on :class:`repro.supervisor.WorkerPool`."""
 
     def test_transient_shard_death_is_rerun_byte_identically(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fresh_shard_pool
     ):
         from repro.faults import campaign as campaign_module
         from repro.faults.campaign import run_campaign
@@ -127,8 +128,9 @@ class TestSharedSupervisor:
         real_shard_worker = campaign_module._shard_worker
 
         def dies_on_first_attempt(context, shard):
-            # Forked workers inherit this patch; the marker outlives
-            # the first attempt, so each shard's re-run succeeds.
+            # Workers forked after the patch inherit it; the marker
+            # outlives the first attempt, so each shard's re-run
+            # succeeds.
             marker = tmp_path / f"died-{shard[0][0]}"
             if not marker.exists():
                 marker.touch()

@@ -58,17 +58,24 @@ class TestParallelFanout:
         wide = run_campaign(LOOP_SRC, "yalll", machine, n=2, seed=3, jobs=16)
         assert campaign_json([wide]) == campaign_json([serial])
 
-    def test_spawned_workers_byte_identical_to_serial(self, monkeypatch):
-        """Workers that do not fork get the campaign context pickled:
-        it must pickle (the program image without its plans) and give
-        the same report."""
+    def test_spawned_workers_byte_identical_to_serial(
+        self, monkeypatch, fresh_shard_pool
+    ):
+        """Spawned workers inherit nothing: the handler and the pickled
+        campaign context (the program image without its plans) must be
+        enough for the same report."""
         import multiprocessing
+
+        from repro.faults import campaign as campaign_module
 
         spawn = multiprocessing.get_context("spawn")
         serial = campaign_bytes(jobs=1)
         monkeypatch.setattr(multiprocessing, "get_context",
                             lambda method=None: spawn)
         assert campaign_bytes(jobs=2) == serial
+        workers = campaign_module._shard_pool(2)._workers
+        assert len(workers) == 2
+        assert all(isinstance(w.process, spawn.Process) for w in workers)
 
     def test_outcomes_in_index_order(self):
         machine = get_machine("HM1")

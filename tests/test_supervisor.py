@@ -3,8 +3,9 @@
 A hypothesis state machine drives :class:`repro.supervisor.WorkerPool`
 with an in-test handler, so nothing compiles: jobs die on their first
 k attempts, wedge past a short deadline, arrive already expired or
-gather into lockstep batches under one of two batch keys, and the pool
-is closed by draining or aborting.  A small model predicts every
+gather into lockstep batches under one of two batch keys, the pool
+grows while work is in flight, and it is closed by draining or
+aborting.  A small model predicts every
 ticket's terminal status from the retry budget and the breaker
 threshold; after close, every accepted future must have resolved
 exactly once to that status, no dispatch may have carried more than
@@ -149,6 +150,13 @@ class SupervisorModel(RuleBasedStateMachine):
     @rule()
     def submit_expired(self):
         self._submit(self._job(), {"timeout"}, deadline_s=0.0)
+
+    @precondition(lambda self: self.drained is None)
+    @rule(workers=st.integers(1, 3))
+    def grow(self, workers):
+        # New workers join idle: no ticket's status may change.
+        self.pool.grow(workers)
+        assert self.pool.depth()["workers"] >= workers
 
     @precondition(lambda self: self.drained is None)
     @rule(drain=st.booleans())
