@@ -124,8 +124,9 @@ def canonical_value(value) -> str:
     their order but canonicalize elements, sets sort.
 
     Public because every content identity in the toolkit wants the
-    same property: compile keys here, and the serve layer's in-flight
-    ``dedup_key`` / ``batch_group_key`` over request payloads.
+    same property: compile keys here, and the serve layer's
+    ``job_key`` / ``dedup_key`` / ``batch_group_key`` over request
+    payloads.
     """
     if isinstance(value, dict):
         items = ",".join(
@@ -141,15 +142,11 @@ def canonical_value(value) -> str:
     return repr(value)
 
 
-#: Backwards-compatible private alias (pre-S24 internal name).
-_canonical_value = canonical_value
-
-
 def _canonical_options(options: dict | None) -> str:
     if not options:
         return ""
     return ";".join(
-        f"{k}={_canonical_value(options[k])}" for k in sorted(options)
+        f"{k}={canonical_value(options[k])}" for k in sorted(options)
     )
 
 

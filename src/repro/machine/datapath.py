@@ -91,8 +91,3 @@ class DatapathGraph:
             raise MachineError(
                 f"datapath references unknown registers: {sorted(unknown)}"
             )
-
-
-def fully_connected() -> None:
-    """The default: no datapath graph means every move is direct."""
-    return None

@@ -3,7 +3,7 @@
 Historically this lived in ``repro.lang.yalll.compiler`` and the other
 four front ends imported it from there — a layering smell (lang/X
 depending on lang/Y) fixed by moving it under the pipeline spine.
-``repro.lang.yalll`` keeps a deprecated re-export for old callers.
+Every front end now imports it from :mod:`repro.pipeline`.
 """
 
 from __future__ import annotations

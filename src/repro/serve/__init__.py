@@ -32,7 +32,10 @@ built robustness-first:
   one fast-path rule (:mod:`repro.sim.admission`).  A group waits
   for lane-mates only while one is queued or a run of its group is
   in flight (Nagle's rule, capped by the window), so a lone ``/run``
-  never waits.
+  never waits.  A lone run takes the same path as a one-lane group
+  (:func:`~repro.serve.jobs.execute_batch`), which admission runs on
+  the scalar engine: every ``/run`` has one lane path and one
+  response renderer.
 * **One machine per name** — the service and its workers share the
   registry's one frozen description per machine name
   (:func:`repro.registry.build_machine`), built and fingerprinted once

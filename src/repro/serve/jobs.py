@@ -10,31 +10,41 @@ field of a response is a pure function of the job payload, which is
 what lets the chaos suite assert byte-identical results across
 crash-driven retries.
 
-Deadline propagation ends here: the worker receives the request's
-*remaining* wall-clock budget and hands it to
-``Simulator.deadline_s``, so a microprogram that wedges produces a
-typed ``SimulationLimitError`` and a structured ``timeout`` response
-instead of holding the worker hostage.  (A worker stuck outside the
-simulator — e.g. in a pathological compile — is the supervisor's
-problem: it kills and respawns past the grace period.)
+Every ``run`` takes one path, :func:`execute_batch`: one compile for
+its lane group, one :class:`~repro.sim.batch.BatchCase` per lane, one
+:func:`repro.sim.batch.run_cases` call and one renderer,
+:func:`_lane_response`, for each lane's outcome.  A lone ``/run`` is a
+one-lane group, which admission runs on the scalar engine (reason
+``batch=1``).
+
+Deadline propagation ends here: a lone run's *remaining* wall-clock
+budget becomes ``Simulator.deadline_s`` through ``run_cases``, so a
+microprogram that wedges produces a typed ``SimulationLimitError`` and
+a structured ``timeout`` response instead of holding the worker
+hostage.  A gathered group runs without one (lockstep keeps no
+per-lane clock); the supervisor's deadline kill backstops it, as it
+does a worker stuck outside the simulator — e.g. in a pathological
+compile — which it kills and respawns past the grace period.
 
 Chaos hooks: a job may carry ``{"chaos": {"kill_on_attempts": [...]}}``.
 When the current dispatch attempt is listed, the worker SIGKILLs
 itself *before* doing any work — a deterministic stand-in for
 segfault/OOM death that the pool must detect, respawn and re-queue
 around.  ``{"chaos": {"sleep_s": N}}`` wedges the worker outside the
-simulator instead, exercising the supervisor's deadline kill.  The service only forwards the ``chaos`` field when booted
-with ``enable_chaos`` (tests, CI smoke); production configs reject it.
+simulator instead, exercising the supervisor's deadline kill.  The
+service only forwards the ``chaos`` field when booted with
+``enable_chaos`` (tests, CI smoke); production configs reject it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import signal
 import time
 
-from repro.cache import CompileCache, compile_key
-from repro.errors import ReproError, SimulationLimitError
+from repro.cache import CompileCache, canonical_value
+from repro.errors import SimulationLimitError
 from repro.registry import build_machine
 
 #: Request classes, in shed order: under overload the service drops
@@ -42,33 +52,39 @@ from repro.registry import build_machine
 JOB_CLASSES = ("campaign", "run", "compile")
 
 
+def _digest(job: dict, *, covers=None, leaves_out=()) -> str:
+    """SHA-256 over the fields of ``job`` in ``covers`` (every field
+    when None) except those in ``leaves_out``.
+
+    Values render through :func:`repro.cache.canonical_value` (the
+    same recursive canonicalisation compile keys use), so payloads
+    that differ only in the insertion order of their keys, nested
+    ``set``/``mem``/``options`` included, share a digest, and a digest
+    is 64 characters however large the payload.
+    """
+    rendered = canonical_value({
+        str(k): v for k, v in job.items()
+        if (covers is None or k in covers) and k not in leaves_out
+    })
+    return hashlib.sha256(rendered.encode()).hexdigest()
+
+
+#: The fields that name the work a job does.
+JOB_KEY_FIELDS = ("op", "source", "lang", "machine", "options", "set",
+                  "mem", "n", "seed", "restart_safe", "max_cycles",
+                  "engine", "chaos")
+
+
 def job_key(job: dict) -> str:
     """The quarantine/backoff identity of a job.
 
     Two submissions of the same work share a key, so a poison request
-    re-submitted verbatim hits its own open breaker.  For compile/run
-    jobs this is the compile cache's content address (plus the run's
-    input state); campaigns add their scenario envelope.  Jobs with
-    unknown machines/languages fail later with a structured error, so
-    the key falls back to a stable render of the payload.
+    re-submitted, verbatim or with its keys reordered, hits its own
+    open breaker.  The key covers :data:`JOB_KEY_FIELDS`; ``show``,
+    ``metrics`` and ``deadline_s`` shape the response or bound its
+    time, not the work.
     """
-    import hashlib
-
-    try:
-        base = compile_key(
-            job.get("source", ""), job.get("lang", ""),
-            build_machine(job.get("machine", "HM1")),
-            job.get("options") or None,
-        )
-    except Exception:
-        rendered = repr(sorted(job.items(), key=lambda kv: kv[0]))
-        base = hashlib.sha256(rendered.encode()).hexdigest()
-    extras = [job.get("op", "")]
-    for fld in ("set", "mem", "n", "seed", "restart_safe", "max_cycles",
-                "engine", "chaos"):
-        if job.get(fld) is not None:
-            extras.append(f"{fld}={job[fld]!r}")
-    return f"{base[:32]}:{'+'.join(extras)}"
+    return _digest(job, covers=JOB_KEY_FIELDS)
 
 
 def dedup_key(job: dict) -> str:
@@ -77,23 +93,11 @@ def dedup_key(job: dict) -> str:
     Stricter than :func:`job_key`: *every* result-affecting field
     participates (``show`` changes the response's ``registers`` block,
     so two jobs may share a :func:`job_key` yet not a dedup key).
-    Only ``deadline_s`` is excluded — it never changes the pure
+    Only ``deadline_s`` is left out — it never changes the pure
     result, and the service separately refuses to attach a follower
     whose budget the leader's remaining deadline cannot honour.
-
-    Values render through :func:`repro.cache.canonical_value` (the
-    same recursive canonicalisation compile keys use), so nested
-    ``options``/``mem`` dicts that differ only in insertion order
-    coalesce instead of silently missing each other.
     """
-    import hashlib
-
-    from repro.cache import canonical_value
-
-    rendered = canonical_value({
-        str(k): v for k, v in job.items() if k != "deadline_s"
-    })
-    return hashlib.sha256(rendered.encode()).hexdigest()
+    return _digest(job, leaves_out=("deadline_s",))
 
 
 #: ``/run`` fields that may vary between the lanes of one batch: the
@@ -133,19 +137,11 @@ def batch_group_key(job: dict) -> str:
     Everything that must be uniform across a batch participates —
     compile identity (source, lang, machine, options), engine and
     ``max_cycles`` — while the per-lane fields in
-    :data:`BATCH_LANE_FIELDS` (and ``deadline_s``) are excluded, so a
+    :data:`BATCH_LANE_FIELDS` (and ``deadline_s``) are left out, so a
     homogeneous-program flood with differing register pokes gathers
     into one lockstep dispatch.
     """
-    import hashlib
-
-    from repro.cache import canonical_value
-
-    shared = {
-        str(k): v for k, v in job.items()
-        if k not in BATCH_LANE_FIELDS and k != "deadline_s"
-    }
-    return hashlib.sha256(canonical_value(shared).encode()).hexdigest()
+    return _digest(job, leaves_out=(*BATCH_LANE_FIELDS, "deadline_s"))
 
 
 # ----------------------------------------------------------------------
@@ -209,44 +205,6 @@ def _compile_response(job: dict, cache: CompileCache) -> dict:
     }
 
 
-def _run_response(job: dict, cache: CompileCache, budget_s) -> dict:
-    from repro.asm.loader import ControlStore
-    from repro.sim.simulator import Simulator
-
-    machine, result = _compile(job, cache)
-    store = ControlStore(machine)
-    store.load(result.loaded)
-    simulator = Simulator(
-        machine, store,
-        engine=job.get("engine", "decoded"),
-        deadline_s=budget_s,
-    )
-    mapping = result.allocation.mapping
-    for name, value in _int_map(job.get("set")).items():
-        simulator.state.write_reg(mapping.get(name, name), value)
-    for address, value in _int_map(job.get("mem")).items():
-        simulator.state.memory.load_words(int(address, 0)
-                                          if isinstance(address, str)
-                                          else int(address), [value])
-    outcome = simulator.run(
-        result.loaded.name, max_cycles=int(job.get("max_cycles", 1_000_000))
-    )
-    registers = {
-        name: simulator.state.read_reg(mapping.get(name, name))
-        for name in (job.get("show") or [])
-    }
-    return {
-        "machine": machine.name,
-        "lang": job["lang"],
-        "exit_value": outcome.exit_value,
-        "cycles": outcome.cycles,
-        "instructions": outcome.instructions,
-        "traps": outcome.traps,
-        "interrupts": outcome.interrupts_serviced,
-        "registers": dict(sorted(registers.items())),
-    }
-
-
 def _campaign_response(job: dict, cache: CompileCache, budget_s) -> dict:
     from repro.faults.campaign import run_campaign
 
@@ -275,12 +233,8 @@ def _campaign_response(job: dict, cache: CompileCache, budget_s) -> dict:
 
 
 def _error_response(error: BaseException) -> dict:
-    """Map one toolkit exception to its terminal structured response.
-
-    The single source of truth for scalar *and* batched execution —
-    a lane whose scalar replay raises renders byte-identically to the
-    same request executed alone.
-    """
+    """Map one exception to its terminal structured response: the one
+    error renderer for every job and every lane."""
     if isinstance(error, SimulationLimitError):
         if error.kind == "deadline":
             return {
@@ -296,11 +250,6 @@ def _error_response(error: BaseException) -> dict:
             "error": {"type": type(error).__name__, "kind": error.kind,
                       "limit": error.limit, "message": str(error)},
         }
-    if isinstance(error, ReproError):
-        return {
-            "status": "error",
-            "error": {"type": type(error).__name__, "message": str(error)},
-        }
     return {
         "status": "error",
         "error": {"type": type(error).__name__, "message": str(error)},
@@ -313,19 +262,23 @@ def execute_job(job: dict, *, attempt: int = 0,
     """Run one job to a terminal structured response.
 
     ``budget_s`` is the request's remaining wall-clock allowance; it
-    becomes ``Simulator.deadline_s`` for run/campaign work.  All
-    toolkit errors come back as ``status="error"`` with the error's
-    type and message; only genuine process death (which
-    :func:`_chaos_kill` models) is left for the pool to observe.
+    becomes ``Simulator.deadline_s`` for run/campaign work.  A ``run``
+    is a one-lane :func:`execute_batch`.  All toolkit errors come back
+    as ``status="error"`` with the error's type and message; only
+    genuine process death (which :func:`_chaos_kill` models) is left
+    for the pool to observe.
     """
+    op = job.get("op")
+    if op == "run":
+        [(_, response)] = execute_batch(
+            [(0, job, attempt, budget_s)], cache_dir=cache_dir
+        )
+        return response
     _chaos_kill(job, attempt)
     cache = _worker_cache(cache_dir)
-    op = job.get("op")
     try:
         if op == "compile":
             result = _compile_response(job, cache)
-        elif op == "run":
-            result = _run_response(job, cache, budget_s)
         elif op == "campaign":
             result = _campaign_response(job, cache, budget_s)
         else:
@@ -340,10 +293,11 @@ def execute_job(job: dict, *, attempt: int = 0,
 
 
 # ----------------------------------------------------------------------
-# Batched execution: one gathered lane group per lockstep dispatch
+# Runs: one lane group per run_cases call
 # ----------------------------------------------------------------------
 def _lane_case(job: dict, mapping: dict):
-    """One lane's initial state, mirroring :func:`_run_response`'s pokes."""
+    """One lane's initial state: its ``set`` registers, named through
+    the allocation ``mapping``, and its ``mem`` words."""
     from repro.sim.batch import BatchCase
 
     registers = {
@@ -351,16 +305,14 @@ def _lane_case(job: dict, mapping: dict):
         for name, value in _int_map(job.get("set")).items()
     }
     memory = {
-        (int(address, 0) if isinstance(address, str) else int(address)): value
+        int(address, 0): value
         for address, value in _int_map(job.get("mem")).items()
     }
     return BatchCase(registers=registers, memory=memory)
 
 
 def _lane_response(job: dict, machine, mapping, outcome, cache) -> dict:
-    """Render one lane's outcome as :func:`_run_response` would."""
-    from repro.errors import SimulationError
-
+    """Render one lane's :class:`~repro.sim.batch.LaneOutcome`."""
     if outcome.error is not None:
         return _error_response(outcome.error)
     run = outcome.result
@@ -369,7 +321,7 @@ def _lane_response(job: dict, machine, mapping, outcome, cache) -> dict:
             name: outcome.read_reg(mapping.get(name, name))
             for name in (job.get("show") or [])
         }
-    except SimulationError as error:
+    except Exception as error:
         return _error_response(error)
     return {
         "status": "ok",
@@ -389,57 +341,66 @@ def _lane_response(job: dict, machine, mapping, outcome, cache) -> dict:
 
 def execute_batch(entries, *, cache_dir: str | None = None
                   ) -> list[tuple[int, dict]]:
-    """Run one gathered lane group; returns ``(ticket_id, response)``
-    pairs aligned with ``entries`` (``(ticket_id, job, attempt,
-    budget_s)`` tuples).
+    """Run one lane group of ``run`` jobs, a lone run or a gathered
+    batch; returns ``(ticket_id, response)`` pairs aligned with
+    ``entries`` (``(ticket_id, job, attempt, budget_s)`` tuples).
 
     All lanes share a :func:`batch_group_key`, so one compile serves
-    the whole group and the lanes run through
-    :func:`repro.sim.batch.run_cases` in lockstep — lanes whose data
-    sends them down different paths keep their own microprogram
-    counters and reconverge inside the batch, and any lane that
-    traps, faults, overflows its return stack or runs out of cycles
-    replays on the scalar decoded engine, which is what keeps every
-    response byte-identical to scalar execution, error text
-    included.  If the batched path itself fails (a refused
-    machine, an unexpected decode error), every lane falls back to
-    scalar :func:`execute_job` — batching is an optimisation, never a
-    new failure mode.
+    the whole group, and a compile error (or a bad ``max_cycles``) is
+    every lane's answer.  A ``set`` or ``mem`` value that does not
+    parse is its own lane's answer.  The other lanes run through one
+    :func:`repro.sim.batch.run_cases` call: in lockstep where
+    admission allows it (lanes whose data sends them down different
+    paths keep their own microprogram counters and reconverge inside
+    the batch, and any lane that traps, faults, overflows its return
+    stack or runs out of cycles replays on the scalar decoded
+    engine), so every lane's response is byte-identical to the same
+    job run alone, error text included.  A lone lane runs on the
+    scalar engine with its remaining budget as ``Simulator.deadline_s``;
+    a gathered group runs without an in-simulator deadline.
     """
+    from repro.sim.batch import run_cases
+
+    for _, job, attempt, _ in entries:
+        _chaos_kill(job, attempt)
     cache = _worker_cache(cache_dir)
     lead = entries[0][1]
+    responses: list[dict | None] = [None] * len(entries)
     try:
-        from repro.sim.batch import run_cases
-
         machine, result = _compile(lead, cache)
         mapping = result.allocation.mapping
-        cases = [_lane_case(job, mapping) for _, job, _, _ in entries]
+        cases = {}
+        for index, (_, job, _, _) in enumerate(entries):
+            try:
+                cases[index] = _lane_case(job, mapping)
+            except Exception as error:
+                responses[index] = _error_response(error)
         outcomes = run_cases(
-            machine, result.loaded, cases,
+            machine, result.loaded, list(cases.values()),
             batch=len(cases),
             engine=lead.get("engine", "decoded"),
             max_cycles=int(lead.get("max_cycles", 1_000_000)),
+            deadline_s=entries[0][3] if len(entries) == 1 else None,
         )
-    except Exception:
-        return [
-            (ticket_id,
-             execute_job(job, attempt=attempt, budget_s=budget_s,
-                         cache_dir=cache_dir))
-            for ticket_id, job, attempt, budget_s in entries
-        ]
-    return [
-        (ticket_id, _lane_response(job, machine, mapping, outcome, cache))
-        for (ticket_id, job, _, _), outcome in zip(entries, outcomes)
-    ]
+    except Exception as error:
+        return [(ticket_id, _error_response(error))
+                for ticket_id, _, _, _ in entries]
+    for index, outcome in zip(cases, outcomes):
+        responses[index] = _lane_response(
+            entries[index][1], machine, mapping, outcome, cache
+        )
+    return [(ticket_id, response)
+            for (ticket_id, _, _, _), response in zip(entries, responses)]
 
 
 def execute_lanes(lanes, *, cache_dir: str | None = None
                   ) -> list[tuple[int, dict]]:
     """The service pool's worker handler: answer one dispatched message.
 
-    One lane executes through :func:`execute_job`, a gathered group
-    through :func:`execute_batch`; both answer every lane with a
-    structured response.  The service binds ``cache_dir`` with
+    A gathered group executes through :func:`execute_batch`, one lane
+    through :func:`execute_job` (which runs a ``run`` as a one-lane
+    :func:`execute_batch`); both answer every lane with a structured
+    response.  The service binds ``cache_dir`` with
     :func:`functools.partial`.
     """
     if len(lanes) > 1:

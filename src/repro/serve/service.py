@@ -2,9 +2,10 @@
 
 Request lifecycle::
 
-    accept → parse (bounded HTTP) → validate (registry names, chaos
-    gating) → admission control (per-class bounds, campaign shedding)
-    → deadline stamp → worker pool → terminal structured response
+    accept → parse (bounded HTTP) → validate (registry names, a run's
+    engine, chaos gating) → admission control (per-class bounds,
+    campaign shedding) → deadline stamp → worker pool → terminal
+    structured response
 
 Admission control is the backpressure story: each request class
 (``compile`` / ``run`` / ``campaign``) has a bounded
@@ -56,7 +57,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import signal
 
 from repro.obs.tracer import NULL_TRACER
 from repro.serve.config import ServeConfig
@@ -167,20 +167,6 @@ class ReproService:
         )
         self._stopped.set()
 
-    async def run(self) -> None:
-        """Start and serve until SIGTERM/SIGINT triggers a drain."""
-        await self.start()
-        loop = asyncio.get_running_loop()
-        for signum in (signal.SIGTERM, signal.SIGINT):
-            try:
-                loop.add_signal_handler(
-                    signum,
-                    lambda: asyncio.ensure_future(self.shutdown()),
-                )
-            except (NotImplementedError, RuntimeError):
-                pass
-        await self._stopped.wait()
-
     # ------------------------------------------------------------------
     # Admission control
     # ------------------------------------------------------------------
@@ -225,6 +211,7 @@ class ReproService:
 
     def _validate(self, payload: dict, job_class: str) -> None:
         from repro.registry import language_names, machine_names
+        from repro.sim.admission import ENGINES
 
         if "chaos" in payload and not self.config.enable_chaos:
             raise HttpError(
@@ -247,6 +234,15 @@ class ReproService:
                 400, "unknown_machine",
                 f"unknown machine {machine!r}; expected one of "
                 f"{', '.join(machine_names())}",
+            )
+        # Checked here, not left to the worker: a run's engine names
+        # its lockstep refusal reason, a label on /metrics.
+        engine = payload.get("engine", "decoded")
+        if job_class == "run" and engine not in ENGINES:
+            raise HttpError(
+                400, "unknown_engine",
+                f"unknown engine {engine!r}; expected one of "
+                f"{', '.join(ENGINES)}",
             )
 
     # ------------------------------------------------------------------

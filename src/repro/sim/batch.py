@@ -45,9 +45,9 @@ unforeseen error peels every lane the same way.
 **Admission.**  Batching only engages when
 :func:`repro.sim.admission.fast_path_refusal` admits
 :data:`~repro.sim.admission.LOCKSTEP`: one lane, an engine other than
-decoded, a banked register file or a missing numpy each refuse it,
-and every lane then runs on the scalar engine, unpeeled.  Importing
-this module never needs numpy.
+decoded, a wall-clock deadline, a banked register file or a missing
+numpy each refuse it, and every lane then runs on the scalar engine,
+unpeeled.  Importing this module never needs numpy.
 
 ``PLANT_LANE_XOR`` is the self-check hook: when non-zero, every
 batched register commit XORs lane 0's value with it — a one-lane
@@ -798,18 +798,21 @@ def _run_lockstep(
 
 def _run_scalar(
     machine, loaded, case, *, engine, paging, trap_service, max_cycles,
-    peeled,
+    deadline_s, peeled,
 ) -> LaneOutcome:
     """One case on the scalar engine — the peel-off (and batch=1) path."""
     store = ControlStore(machine)
     store.load(loaded)
     memory = MainMemory(paging_enabled=paging)
     state = MachineState(machine, memory=memory)
-    simulator = Simulator(machine, store, state=state, engine=engine,
-                          trap_service=trap_service)
     result = None
     error = None
     try:
+        # Built inside the ``try``: an unknown engine is this case's
+        # error, like any other.
+        simulator = Simulator(machine, store, state=state, engine=engine,
+                              trap_service=trap_service,
+                              deadline_s=deadline_s)
         for name, value in case.registers.items():
             state.write_reg(name, value)
         for address, value in case.memory.items():
@@ -842,6 +845,7 @@ def run_cases(
     paging: bool = False,
     trap_service=None,
     max_cycles: int = 1_000_000,
+    deadline_s: float | None = None,
 ) -> list[LaneOutcome]:
     """Run homogeneous cases through the lockstep driver, batch-wise.
 
@@ -850,12 +854,16 @@ def run_cases(
     case order**.  When admission refuses lockstep
     (:func:`repro.sim.admission.fast_path_refusal`) every case runs on
     the scalar ``engine``, unpeeled; ``batch=1`` is exactly today's
-    scalar behaviour.  Exceptions a lane's run raises are captured per
-    lane in :attr:`LaneOutcome.error`, never propagated, so a batch
-    with one runaway lane still reports the other N-1.
+    scalar behaviour.  ``deadline_s`` is each scalar run's wall-clock
+    watchdog (``Simulator.deadline_s``); lockstep keeps no per-lane
+    clock, so a deadline refuses it.  Exceptions a lane's run raises
+    are captured per lane in :attr:`LaneOutcome.error`, never
+    propagated, so a batch with one runaway lane still reports the
+    other N-1.
     """
     reason = fast_path_refusal(
         LOCKSTEP, machine=machine, lanes=batch, engine=engine,
+        deadline=deadline_s is not None,
     )
     outcomes: list[LaneOutcome | None] = [None] * len(cases)
     if reason is None:
@@ -871,6 +879,6 @@ def run_cases(
             outcomes[index] = _run_scalar(
                 machine, loaded, case, engine=engine, paging=paging,
                 trap_service=trap_service, max_cycles=max_cycles,
-                peeled=reason is None,
+                deadline_s=deadline_s, peeled=reason is None,
             )
     return outcomes

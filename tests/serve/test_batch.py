@@ -462,6 +462,27 @@ class TestDedupCanonicalisation:
         assert (batch_group_key(dict(base, show=["a"]))
                 == batch_group_key(dict(base, show=["b"])))
 
+    def test_job_key_ignores_key_order_and_payload_size(self):
+        job = {
+            "op": "run", "source": ADD_SRC, "lang": "yalll",
+            "set": {"a": 1, "b": 2},
+            "mem": {str(100 + word): word for word in range(64)},
+            "options": {"restart_safe": True, "regalloc": "auto"},
+            "chaos": {"kill_on_attempts": [0], "sleep_s": 0},
+        }
+        reordered = {
+            key: dict(reversed(value.items()))
+            if isinstance(value, dict) else value
+            for key, value in reversed(job.items())
+        }
+        assert reordered == job
+        assert list(reordered["mem"]) != list(job["mem"])
+        assert job_key(reordered) == job_key(job)
+        assert len(job_key(job)) <= 100
+        # The work still names the key; how it is reported does not.
+        assert job_key(dict(job, set={"a": 2, "b": 2})) != job_key(job)
+        assert job_key(dict(job, show=["a"], deadline_s=3)) == job_key(job)
+
     def test_deadline_is_key_invariant(self):
         base = {"op": "run", "source": ADD_SRC, "lang": "yalll"}
         assert (dedup_key(dict(base, deadline_s=5))

@@ -7,12 +7,14 @@ metrics exposition, drain.
 """
 
 import asyncio
+import json
 import threading
 import time
 
 import pytest
 
 from repro.registry import language_names
+from repro.sim.admission import ENGINES
 from repro.serve import ReproService, ServeConfig
 from repro.serve.http import Request
 from tests.serve.conftest import ADD_SRC, WEDGE_SRC
@@ -65,6 +67,25 @@ class TestValidation:
         )
         assert status == 400
         assert body["error"] == "unknown_machine"
+
+    def test_unknown_engine_never_becomes_a_label(self, service):
+        status, body = service.request(
+            "POST", "/run",
+            {"source": ADD_SRC, "lang": "yalll", "engine": "zzz"},
+        )
+        assert status == 400
+        assert body["error"] == "unknown_engine"
+        assert all(engine in body["detail"] for engine in ENGINES)
+        # Only a run reads its engine.
+        status, _ = service.request(
+            "POST", "/compile",
+            {"source": ADD_SRC, "lang": "yalll", "engine": "zzz"},
+        )
+        assert status == 200
+        _, health = service.request("GET", "/healthz")
+        _, document = service.request("GET", "/metrics")
+        assert "zzz" not in json.dumps(health)
+        assert "zzz" not in document
 
     def test_bad_deadline(self, service):
         status, body = service.request(

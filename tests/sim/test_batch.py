@@ -335,6 +335,37 @@ class TestLockstepParity:
             2 * n for n in range(7)
         ]
 
+    def test_unknown_engine_is_each_cases_error(self):
+        """An engine the simulator refuses is captured per case, like
+        any other error, and never raised out of the call."""
+        from repro.errors import SimulationError
+
+        machine = get_machine("HM1")
+        result = compiled(STRAIGHT_SRC, machine, name="straight")
+        outcomes = run_cases(machine, result.loaded,
+                             [BatchCase(), BatchCase()], batch=2,
+                             engine="bogus")
+        assert len(outcomes) == 2
+        for outcome in outcomes:
+            assert outcome.result is None
+            assert type(outcome.error) is SimulationError
+            assert "unknown engine 'bogus'" in str(outcome.error)
+
+    def test_deadline_bounds_each_scalar_run(self):
+        """A deadline refuses lockstep and becomes each scalar run's
+        ``Simulator.deadline_s``."""
+        from repro.errors import SimulationLimitError
+
+        machine = get_machine("HM1")
+        result = compiled(WEDGE_SRC, machine, name="wedge")
+        outcomes = run_cases(machine, result.loaded,
+                             [BatchCase(), BatchCase()], batch=2,
+                             max_cycles=10**12, deadline_s=0.05)
+        for outcome in outcomes:
+            assert not outcome.peeled
+            assert isinstance(outcome.error, SimulationLimitError)
+            assert outcome.error.kind == "deadline"
+
 
 #: Programs whose lanes take data-dependent paths, with the registers
 #: each lane draws and the top of their ranges.
