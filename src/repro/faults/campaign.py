@@ -36,7 +36,7 @@ import itertools
 import os
 import pickle
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.asm.loader import ControlStore
 from repro.errors import (
@@ -50,6 +50,7 @@ from repro.faults.plan import FaultPlan, FaultSpace, FaultSpec
 from repro.obs.aggregate import CampaignMetrics
 from repro.obs.timeline import TraceRecorder
 from repro.obs.tracer import NULL_TRACER
+from repro.registry import build_machine, machine_names
 from repro.sim.simulator import Simulator
 
 #: All outcome classes, in reporting order.
@@ -220,6 +221,20 @@ class CampaignResult:
         return record
 
 
+class _MachineByName:
+    """Pickles a registry machine as its name: it unpickles to the
+    receiving process's own :func:`repro.registry.build_machine` of
+    that name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __reduce__(self):
+        return (build_machine, (self.name,))
+
+
 @dataclass(frozen=True)
 class _ScenarioContext:
     """What every scenario run of one campaign shares.
@@ -228,7 +243,9 @@ class _ScenarioContext:
     ``(index, FaultSpec)`` list to the long-lived shard pool's workers.
     The program image pickles without its plans
     (:func:`repro.sim.decode.image_tables`), so a worker decodes the
-    words its shard runs into the image it received.
+    words its shard runs into the image it received.  The registry's
+    own frozen machine travels as its name, since every worker builds
+    the same one; any other machine ships whole.
     """
 
     machine: object
@@ -241,6 +258,13 @@ class _ScenarioContext:
     engine: str
     collect_metrics: bool
     deadline_s: float | None
+
+    def __reduce__(self):
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        name = self.machine.name
+        if name in machine_names() and self.machine is build_machine(name):
+            values["machine"] = _MachineByName(name)
+        return (_ScenarioContext, tuple(values.values()))
 
 
 # ----------------------------------------------------------------------

@@ -187,7 +187,9 @@ class StuckAtRegister(FaultInjector):
 
     The stuck value is re-asserted at every microinstruction boundary
     (the granularity at which the structured simulator can model a
-    permanently-shorted latch input).
+    permanently-shorted latch input): the first firing masks it to
+    the register as ``poke_reg`` does, and every boundary stores that
+    masked value.
     """
 
     watched = frozenset()
@@ -197,7 +199,8 @@ class StuckAtRegister(FaultInjector):
         self.register = register
         self.value = value
         self.from_cycle = from_cycle
-        self._announced = False
+        #: ``value`` masked to the register, once it first fired.
+        self._masked: int | None = None
 
     def check(self, machine) -> None:
         if self.register not in machine.registers:
@@ -209,11 +212,12 @@ class StuckAtRegister(FaultInjector):
     def on_instruction(self, simulator, loaded):
         state = simulator.state
         if state.cycles >= self.from_cycle:
-            state.poke_reg(self.register, self.value)
-            if not self._announced:
-                self._announced = True
+            if self._masked is None:
+                register = state.machine.registers[self.register]
+                self._masked = self.value & register.mask
                 self.record(simulator, "fault.stuck",
                             register=self.register, value=self.value)
+            state.registers[self.register] = self._masked
         return loaded
 
 

@@ -164,6 +164,13 @@ def _int_map(raw: dict | None) -> dict[str, int]:
     return {str(k): int(v) for k, v in (raw or {}).items()}
 
 
+def _mem_map(raw: dict | None) -> dict[int, int]:
+    """A ``mem`` field, for ``/run`` and ``/campaign`` alike: each
+    address in any base ``int(text, 0)`` reads (``"100"``, ``"0x64"``)."""
+    return {int(address, 0): value
+            for address, value in _int_map(raw).items()}
+
+
 def _chaos_kill(job: dict, attempt: int) -> None:
     chaos = job.get("chaos") or {}
     if attempt in (chaos.get("kill_on_attempts") or []):
@@ -214,7 +221,7 @@ def _campaign_response(job: dict, cache: CompileCache, budget_s) -> dict:
         seed=int(job.get("seed", 7)),
         restart_safe=bool(job.get("restart_safe", False)),
         registers=_int_map(job.get("set")),
-        memory={int(a): v for a, v in _int_map(job.get("mem")).items()},
+        memory=_mem_map(job.get("mem")),
         cache=cache,
         deadline_s=budget_s,
         collect_metrics=bool(job.get("metrics", False)),
@@ -304,11 +311,7 @@ def _lane_case(job: dict, mapping: dict):
         mapping.get(name, name): value
         for name, value in _int_map(job.get("set")).items()
     }
-    memory = {
-        int(address, 0): value
-        for address, value in _int_map(job.get("mem")).items()
-    }
-    return BatchCase(registers=registers, memory=memory)
+    return BatchCase(registers=registers, memory=_mem_map(job.get("mem")))
 
 
 def _lane_response(job: dict, machine, mapping, outcome, cache) -> dict:

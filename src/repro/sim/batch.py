@@ -4,13 +4,13 @@ The scalar engines pay one Python dispatch per microinstruction *per
 case*; a million-case campaign is a million interpreter loops.  This
 module holds N independent cases as **struct-of-arrays** — every
 register and flag becomes a lane vector — and drives them in lockstep
-through the decoded engine's execution plans: one step closure per
-placed op per microinstruction, each operating on whole numpy lane
-vectors, so the Python-level dispatch cost is amortised across the
-batch.  This is the structural move that makes VADL-style generated
-simulators fast, applied to the pre-decoded engine of
-:mod:`repro.sim.decode`: the
-plans are built by the same lowering, from the same op table
+through execution plans of step closures: one per placed op per
+microinstruction, each operating on whole numpy lane vectors, so the
+Python-level dispatch cost is amortised across the batch.  This is the
+structural move that makes VADL-style generated simulators fast,
+applied to the pre-decoded engine of :mod:`repro.sim.decode`: the
+plans come from its closure lowering
+(:func:`~repro.sim.decode.build_plan`), from the same op table
 (:mod:`repro.sim.ops`), through a lane-vector decode backend
 (:class:`_LaneSteps`).  What stays here is the lockstep part — the
 vector state, the scheduler and the peel rules.
@@ -604,8 +604,8 @@ class _LaneSteps:
     ``setblk`` — refuses batching here instead: the scalar replay
     reproduces it, raises included.
     ``poll`` lowers to nothing: batches never admit an interrupt
-    source, so the pending latch can never be set (the scalar step is
-    an identical no-op then).
+    source, so the pending latch can never be set (the scalar word's
+    ``poll`` is an identical no-op then).
     """
 
     def __init__(self, state: BatchedState):

@@ -9,25 +9,33 @@ of that depends on machine state — only the *operand values* do — so
 it can all be done once per word.
 
 This module lowers a :class:`~repro.asm.assembler.LoadedWord` into an
-:class:`ExecutionPlan`: phase-grouped tuples of *step closures* with
-operand readers pre-bound (immediates inlined as constants, registers
-resolved to direct slot lookups where the machine's banking allows),
-semantics pre-dispatched (the hot ALU orders are inlined from the op
-table in :mod:`repro.sim.ops`; the rest pre-bind
-:func:`repro.sim.semantics.evaluate`), the microinstruction's cycle
-count pre-computed, and the terminator compiled to a single
-sequencing closure with label lookups already resolved to absolute
-control-store addresses (:func:`terminator_metadata`).  The hot loop
-then becomes "fetch plan, run closures" — the regime VADL-style
-generated simulators live in.
+:class:`ExecutionPlan`: the word's phases as one generated Python
+function, the microinstruction's cycle count pre-computed, and the
+terminator compiled to a single sequencing closure with label lookups
+already resolved to absolute control-store addresses
+(:func:`terminator_metadata`).  The function (:func:`lower_word`)
+reads immediates as constants and plain registers as direct slot
+lookups (banked windows and names the register file does not know
+stay dynamic through ``read_reg``), inlines the hot ALU orders from
+the op table in :mod:`repro.sim.ops`, calls
+:func:`repro.sim.semantics.evaluate` for the rest, and unrolls each
+phase's commit discipline.  Its text comes from the phase emitter
+(:func:`_emit_phase`) the trace JIT's stitcher (:mod:`repro.sim.trace`)
+writes whole loops with, so a word and a trace through it run the same
+code.  The hot loop then becomes "fetch plan, call its function" — the
+regime VADL-style generated simulators live in.  A function depends
+only on its source text, so each distinct text is compiled once per
+process (:func:`_word_function`) and identical words share it.
 
-The lowering is written once over a *decode backend*:
-:class:`ScalarSteps` here, and the lane-vector backend of
-:mod:`repro.sim.batch`.  A backend supplies operand readers,
-destination slots, the steps whose semantics differ per lane (``poll``,
-the write-allocate check of ``write``, ``setblk``), the ``evaluate``
-datapath and the data-dependent sequencers; the table ops, the other
-memory and scratchpad steps, the plan and its commit loop are shared.
+The batched engine (:mod:`repro.sim.batch`) runs the same words as
+one closure per placed op over lane vectors instead: :func:`build_plan`
+lowers them through its decode backend, which supplies operand readers,
+destination slots, the steps whose semantics differ per lane
+(``poll``, the write-allocate check of ``write``, ``setblk``), the
+``evaluate`` datapath and the data-dependent sequencers; the table
+ops, the other memory and scratchpad steps and the rest of sequencing
+are written here.  :class:`ScalarSteps` is the scalar backend of
+sequencing (:func:`sequencer`).
 
 **Fault-injection correctness.**  Plans are cached per absolute
 address *and per encoded word* (:class:`PlanCache`): when a
@@ -60,12 +68,16 @@ in every observable — executed addresses, cycle accounting, register
 and memory state, flags, traps raised and their order — for every
 program the toolkit can assemble.  Where the interpretive path reads
 state dynamically (banked register windows, the swappable
-``state.memory``, the interrupt handler), the closures here do too.
+``state.memory``, the interrupt handler), the generated functions do
+too: a ``poll`` that services an interrupt re-reads the state's
+stores, which the handler may replace.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from repro.asm.assembler import LoadedWord
@@ -83,14 +95,14 @@ from repro.mir.block import (
 from repro.mir.operands import Imm, Reg
 from repro.obs.metrics import CounterBlock
 from repro.sim import ops
-from repro.sim.ops import OPS, Op, step_factory
+from repro.sim.ops import OPS, Op, inline, step_factory
 from repro.sim.semantics import condition_holds, evaluate
 from repro.sim.state import StateBackend
 
-#: A step runs one placed op against the live state.  It may append
-#: pending commits to ``reg_writes`` / ``memory_ops``, update
-#: ``flag_writes``, raise a :class:`~repro.errors.MicroTrap`, and
-#: returns truthy iff it serviced a pending interrupt (``poll``).
+#: A batched step runs one placed op against a lane-vector state.  It
+#: may append pending commits to ``reg_writes`` / ``memory_ops``,
+#: update ``flag_writes``, raise a :class:`~repro.errors.MicroTrap`,
+#: and returns truthy iff it serviced a pending interrupt (``poll``).
 Step = Callable[..., object]
 
 #: Branch conditions compiled to a direct flag test; anything else
@@ -107,54 +119,26 @@ _COND_TESTS = {
 class ExecutionPlan:
     """One control-store word, lowered for repeated execution.
 
-    ``phases`` holds one tuple of steps per occupied phase, in phase
-    order; ``cycles`` is the pre-computed microinstruction latency;
-    ``sequence`` advances the microprogram counter (labels already
-    resolved against the resident program the plan was decoded for).
-    The same plan runs scalar and batched states.
+    ``execute(state)`` runs the word's phases and returns True iff a
+    ``poll`` serviced a pending interrupt — a generated function for a
+    scalar state (:func:`lower_word`), step closures over lane vectors
+    for a batched one (:func:`build_plan`); ``cycles`` is the
+    pre-computed microinstruction latency; ``sequence`` advances the
+    microprogram counter (labels already resolved against the resident
+    program the plan was decoded for).
     """
 
-    __slots__ = ("phases", "cycles", "sequence")
+    __slots__ = ("execute", "cycles", "sequence")
 
     def __init__(
         self,
-        phases: tuple[tuple[Step, ...], ...],
+        execute: Callable[[StateBackend], bool],
         cycles: int,
         sequence: Callable[[StateBackend], None],
     ):
-        self.phases = phases
+        self.execute = execute
         self.cycles = cycles
         self.sequence = sequence
-
-    def execute(self, state: StateBackend) -> bool:
-        """Run all phases; same commit discipline as the interpreter:
-        within a phase all reads see phase-entry state, then register
-        writes commit, then memory actions, then flag updates.  A
-        ``None`` mask routes a register commit through
-        ``state.write_reg``.
-
-        Returns True if a pending interrupt was serviced by a ``poll``.
-        """
-        serviced = False
-        for steps in self.phases:
-            reg_writes: list[tuple[str, int | None, int]] = []
-            flag_writes: dict[str, int] = {}
-            memory_ops: list[Callable[[], None]] = []
-            for step in steps:
-                if step(state, reg_writes, flag_writes, memory_ops):
-                    serviced = True
-            if reg_writes:
-                registers = state.registers
-                for target, mask, value in reg_writes:
-                    if mask is None:
-                        state.write_reg(target, value)
-                    else:
-                        registers[target] = value & mask
-            for action in memory_ops:
-                action()
-            if flag_writes:
-                state.flags.update(flag_writes)
-        return serviced
 
 
 @dataclass
@@ -240,7 +224,7 @@ class PlanCache:
 
 
 # ----------------------------------------------------------------------
-# Scalar decode backend
+# Operands and destinations
 # ----------------------------------------------------------------------
 def _dest_slot(files, name: str) -> tuple[str, int | None]:
     """Pre-resolve a destination register to ``(target, mask)``.
@@ -285,15 +269,231 @@ def inline_spec(files, op, width: int) -> Op | None:
     return spec
 
 
-class ScalarSteps:
-    """Decode backend for one scalar :class:`StateBackend`.
+# ----------------------------------------------------------------------
+# Generated code: the word lowering and the trace stitcher's phases
+# ----------------------------------------------------------------------
+class _Emitter:
+    """Python source, one indented line at a time, with fresh temps."""
 
-    :func:`build_plan` asks a backend for operand readers, destination
-    slots, the ``poll``, ``write`` and ``setblk`` steps, the datapath of
-    the ``evaluate`` fallback and the two data-dependent sequencers.
-    Everything else — the table ops, the memory and scratchpad loads
-    and stores, the plan and the rest of sequencing — is shared with
-    the batched backend in :mod:`repro.sim.batch`.
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self._depth = 0
+        self._uid = 0
+
+    def emit(self, line: str = "") -> None:
+        self.lines.append("    " * self._depth + line if line else "")
+
+    def indent(self) -> None:
+        self._depth += 1
+
+    def dedent(self) -> None:
+        self._depth -= 1
+
+    def tmp(self) -> str:
+        self._uid += 1
+        return f"_t{self._uid}"
+
+    def source(self) -> str:
+        return "\n".join(self.lines) + "\n"
+
+
+def _src_expr(files, operand) -> str:
+    """The read expression for one source operand: immediates become
+    literals, plain registers direct dict lookups, banked windows and
+    unknown names stay dynamic through ``read_reg``."""
+    if not isinstance(operand, Reg):
+        return repr(operand.value)
+    name = operand.name
+    if files.is_window(name) or name not in files.registers:
+        return f"state.read_reg({name!r})"
+    return f"regs[{name!r}]"
+
+
+#: The state's stores a generated function holds in locals.
+_BINDINGS = (
+    ("regs", "registers"),
+    ("flags", "flags"),
+    ("memory", "memory"),
+    ("scratch", "scratchpad"),
+)
+
+
+def _emit_phase(em: _Emitter, machine, placed_ops, plant: int = 0) -> None:
+    """Emit one phase the way the interpreter runs it: every op reads
+    into temporaries at step time, then the commit discipline unrolled —
+    register writes in step order, then memory actions, then flag
+    writes (last writer wins).
+
+    The source reads the locals ``regs``, ``flags``, ``memory`` and
+    ``scratch`` (:data:`_BINDINGS`), and a ``poll`` sets ``serviced``.
+    ``plant`` is XORed into every inlined ALU result that sets flags
+    (the trace stitcher's self-check hook; 0 emits the plain
+    expression).
+    """
+    files = machine.registers
+    reg_commits: list[tuple[str, int | None, str, str]] = []
+    mem_commits: list[str] = []
+    flag_commits: list[str] = []
+    for placed in placed_ops:
+        op = placed.op
+        name = op.op
+        if name == "nop":
+            continue
+        if name == "poll":
+            # At its step position: the handler sees the reads and
+            # commits so far, and may replace the state's stores.
+            em.emit("if state.interrupt_pending "
+                    "and state.interrupt_handler:")
+            em.indent()
+            em.emit("state.interrupt_handler(state)")
+            em.emit("state.interrupt_pending = False")
+            em.emit("serviced = True")
+            for local, attribute in _BINDINGS:
+                em.emit(f"{local} = state.{attribute}")
+            em.dedent()
+            continue
+        srcs = [_src_expr(files, s) for s in op.srcs]
+        spec = inline_spec(files, op, machine.word_size)
+        if name in ("read", "ldscr"):
+            t = em.tmp()
+            store = "memory" if name == "read" else "scratch"
+            em.emit(f"{t} = {store}.read({srcs[0]})")
+            reg_commits.append((*_dest_slot(files, op.dest.name), t, ""))
+        elif name == "write":
+            ta, td = em.tmp(), em.tmp()
+            em.emit(f"{ta} = {srcs[0]}")
+            em.emit(f"{td} = {srcs[1]}")
+            # Touch now so pagefaults surface at the op, not at commit
+            # (write-allocate check) — same as the interpretive path.
+            em.emit(f"if not memory.is_mapped({ta}):")
+            em.indent()
+            em.emit(f"memory.write({ta}, {td})")
+            em.dedent()
+            mem_commits.append(f"memory.write({ta}, {td})")
+        elif name == "stscr":
+            tv, ta = em.tmp(), em.tmp()
+            em.emit(f"{tv} = {srcs[0]}")
+            em.emit(f"{ta} = {srcs[1]}")
+            mem_commits.append(f"scratch.write({ta}, {tv})")
+        elif name == "setblk":
+            t = em.tmp()
+            em.emit(f"{t} = {srcs[0]}")
+            if files.bank_pointer is None:
+                em.emit("raise SimulationError("
+                        "'setblk on unbanked machine')")
+            else:
+                reg_commits.append(
+                    (*_dest_slot(files, files.bank_pointer), t, "")
+                )
+        elif spec is not None:
+            total, value = em.tmp(), em.tmp()
+            statements, flags = inline(
+                name, srcs, str(machine.mask()),
+                str(machine.word_size - 1), total, value,
+            )
+            for line in statements:
+                em.emit(line)
+            if spec.writes:
+                if spec.flags and plant:
+                    value = f"(({value}) ^ {plant})"
+                reg_commits.append(
+                    (*_dest_slot(files, op.dest.name), value, "")
+                )
+            flag_commits.extend(
+                f"flags[{flag!r}] = {expr}" for flag, expr in flags
+            )
+        else:
+            # Generic evaluate fallback — the interpreter's exact
+            # argument set, pre-bound at lowering time.  Like the
+            # interpreter it commits a value only when there is one and
+            # flags only when the op set some.
+            t = em.tmp()
+            dest_old = (
+                _src_expr(files, op.dest) if op.dest is not None else "0"
+            )
+            em.emit(f"{t} = evaluate({name!r}, [{', '.join(srcs)}], "
+                    f"{machine.word_size}, dest_old={dest_old}, "
+                    f"carry_in=flags.get('C', 0))")
+            if op.dest is not None:
+                reg_commits.append((
+                    *_dest_slot(files, op.dest.name), f"{t}.value",
+                    f"if {t}.value is not None: ",
+                ))
+            flag_commits.append(f"if {t}.flags: flags.update({t}.flags)")
+    for target, mask, value, guard in reg_commits:
+        if mask is None:
+            em.emit(f"{guard}state.write_reg({target!r}, {value})")
+        else:
+            em.emit(f"{guard}regs[{target!r}] = {value} & {mask}")
+    for line in mem_commits + flag_commits:
+        em.emit(line)
+
+
+#: The locals a phase's source may name.
+_BOUND = re.compile(r"\b(regs|flags|memory|scratch|serviced)\b")
+
+
+def _word_source(machine, instruction) -> str:
+    """The source of one word's ``execute(state) -> serviced``: its
+    phases in order, each through :func:`_emit_phase`, after binding
+    the stores the body names (an identifier that only appears inside
+    a register name's quotes binds one more local, nothing worse)."""
+    em = _Emitter()
+    em.indent()
+    for group in instruction.phase_groups(machine):
+        _emit_phase(em, machine, group)
+    body = em.source()
+    used = set(_BOUND.findall(body))
+    head = "def execute(state):\n" + "".join(
+        f"    {local} = state.{attribute}\n"
+        for local, attribute in _BINDINGS if local in used
+    )
+    if "serviced" in used:
+        head += "    serviced = False\n"
+        return head + body + "    return serviced\n"
+    return head + body + "    return False\n"
+
+
+#: Distinct word functions kept compiled, least recently used first out.
+WORD_FUNCTIONS = 4096
+
+
+@lru_cache(maxsize=WORD_FUNCTIONS)
+def _word_function(source: str) -> Callable[[StateBackend], bool]:
+    """The compiled function of one :func:`_word_source` text.
+
+    It depends only on its text and the fixed globals below, so every
+    word with the same text, in any image, may share it; lowering a
+    word costs a fraction of a ``compile()``.
+    """
+    namespace = {"evaluate": evaluate, "SimulationError": SimulationError}
+    exec(compile(source, "<word>", "exec"), namespace)
+    return namespace["execute"]
+
+
+def lower_word(
+    machine, loaded: LoadedWord, resident: ResidentProgram, address: int
+) -> ExecutionPlan:
+    """Lower one loaded control-store word to a scalar plan: its
+    generated function, its cycles and its sequencing closure."""
+    instruction = loaded.instruction
+    return ExecutionPlan(
+        execute=_word_function(_word_source(machine, instruction)),
+        cycles=instruction.cached_cycles(machine),
+        sequence=sequencer(
+            ScalarSteps(machine),
+            terminator_metadata(instruction.terminator, address, resident),
+        ),
+    )
+
+
+class ScalarSteps:
+    """Sequencing backend for one scalar :class:`StateBackend`.
+
+    :func:`sequencer` asks a backend for operand readers and the two
+    data-dependent sequencers; the batched backend in
+    :mod:`repro.sim.batch` supplies lane-vector ones, and the rest of
+    its operations.
     """
 
     def __init__(self, machine):
@@ -301,13 +501,8 @@ class ScalarSteps:
         self.files = machine.registers
 
     def reader(self, operand) -> Callable[[StateBackend], int]:
-        """A reader closure for one source operand.
-
-        Immediates become constants; plain registers become direct slot
-        lookups; banked windows (and names the register file does not
-        know, which must keep raising through ``read_reg``) stay
-        dynamic.
-        """
+        """A reader closure for one source operand, as
+        :func:`_src_expr` reads it."""
         if not isinstance(operand, Reg):
             value = operand.value
             return lambda state: value
@@ -315,52 +510,6 @@ class ScalarSteps:
         if self.files.is_window(name) or name not in self.files.registers:
             return lambda state: state.read_reg(name)
         return lambda state: state.registers[name]
-
-    def dest(self, name: str) -> tuple[str, int | None]:
-        return _dest_slot(self.files, name)
-
-    def poll(self) -> Step:
-        # The handler is read from the state at run time, so the plan
-        # serves any simulator of the machine.
-        def step(state, reg_writes, flag_writes, memory_ops):
-            if state.interrupt_pending and state.interrupt_handler:
-                state.interrupt_handler(state)
-                state.interrupt_pending = False
-                return True
-            return False
-
-        return step
-
-    def write(self, read_addr, read_data) -> Step:
-        def step(state, reg_writes, flag_writes, memory_ops):
-            address = read_addr(state)
-            data = read_data(state)
-            memory_ops.append(
-                lambda a=address, d=data: state.memory.write(a, d)
-            )
-            # Touch now so pagefaults surface at the op, not at commit
-            # (write-allocate check) — same as the interpretive path.
-            if not state.memory.is_mapped(address):
-                state.memory.write(address, data)
-
-        return step
-
-    def setblk(self, read_value) -> Step:
-        pointer = self.files.bank_pointer
-        target, mask = (
-            (None, None) if pointer is None else self.dest(pointer)
-        )
-
-        def step(state, reg_writes, flag_writes, memory_ops):
-            value = read_value(state)
-            if target is None:
-                raise SimulationError("setblk on unbanked machine")
-            reg_writes.append((target, mask, value))
-
-        return step
-
-    #: The ``evaluate`` fallback's datapath: the reference itself.
-    evaluate = staticmethod(evaluate)
 
     def branch(self, flag, expected, taken, not_taken):
         def seq_branch(state):
@@ -383,10 +532,11 @@ class ScalarSteps:
 
 
 # ----------------------------------------------------------------------
-# Shared lowering
+# Step closures: the batched engine's lowering
 # ----------------------------------------------------------------------
 def decode_op(steps, op) -> Step | None:
-    """Lower one micro-op through a decode backend (None for ``nop``)."""
+    """Lower one micro-op to a step through a decode backend (None for
+    ``nop``)."""
     name = op.op
     if name == "nop":
         return None
@@ -593,10 +743,43 @@ def sequencer(steps, meta: dict) -> Callable[[StateBackend], None]:
     return seq_exit_value
 
 
+def _run_phases(phases: tuple[tuple[Step, ...], ...]):
+    """``execute`` for a plan of steps, with the interpreter's commit
+    discipline: within a phase all reads see phase-entry state, then
+    register writes commit, then memory actions, then flag updates.  A
+    ``None`` mask routes a register commit through ``state.write_reg``.
+    """
+
+    def execute(state: StateBackend) -> bool:
+        serviced = False
+        for steps in phases:
+            reg_writes: list[tuple[str, int | None, int]] = []
+            flag_writes: dict[str, int] = {}
+            memory_ops: list[Callable[[], None]] = []
+            for step in steps:
+                if step(state, reg_writes, flag_writes, memory_ops):
+                    serviced = True
+            if reg_writes:
+                registers = state.registers
+                for target, mask, value in reg_writes:
+                    if mask is None:
+                        state.write_reg(target, value)
+                    else:
+                        registers[target] = value & mask
+            for action in memory_ops:
+                action()
+            if flag_writes:
+                state.flags.update(flag_writes)
+        return serviced
+
+    return execute
+
+
 def build_plan(
     steps, loaded: LoadedWord, resident: ResidentProgram, address: int
 ) -> ExecutionPlan:
-    """Lower one loaded control-store word through a decode backend."""
+    """Lower one loaded control-store word to step closures through a
+    decode backend."""
     machine = steps.machine
     instruction = loaded.instruction
     phases = []
@@ -609,7 +792,7 @@ def build_plan(
         if phase:
             phases.append(phase)
     return ExecutionPlan(
-        phases=tuple(phases),
+        execute=_run_phases(tuple(phases)),
         cycles=instruction.cached_cycles(machine),
         sequence=sequencer(
             steps,
@@ -652,7 +835,7 @@ def decode_word(
     key = (resident.base, address, loaded.word)
     plan = plans.get(key)
     if plan is None:
-        plan = plans[key] = build_plan(
-            ScalarSteps(simulator.machine), loaded, resident, address
+        plan = plans[key] = lower_word(
+            simulator.machine, loaded, resident, address
         )
     return plan

@@ -17,10 +17,12 @@ engine runs for a given run is decided elsewhere, once
 (:mod:`repro.sim.admission`).
 
 :func:`inline` renders an entry as statements with the operands and
-constants substituted.  The trace stitcher writes them into its
-generated source; :func:`step_factory` compiles them into the step
-closure the decoded and batched engines run, once per op, so their hot
-path executes the inlined expressions rather than a call per operator.
+constants substituted.  The decoded engine's word functions and the
+trace stitcher write them into their generated source
+(:func:`repro.sim.decode._emit_phase`); :func:`step_factory` compiles
+them into the step closure the batched engine runs, once per op, so
+every hot path executes the inlined expressions rather than a call per
+operator.
 
 ``shl`` and ``shr`` are entries marked ``count``: their ``b`` is a
 shift count, and :func:`repro.sim.decode.inline_spec` inlines them
@@ -139,8 +141,8 @@ def step_factory(name: str) -> Callable:
     operands through the readers, appends ``(target, mask, v)`` to
     ``reg_writes`` (unless the op only sets flags) and stores its
     flags into ``flag_writes``.  The step never looks at what kind of
-    state it runs on, so the decoded and batched engines share it and
-    differ only in the readers and destination slots they pass.
+    state it runs on: the batched engine's lane-vector readers and
+    destination slots make it a whole-batch step.
     """
     factory = _FACTORIES.get(name)
     if factory is None:

@@ -1,16 +1,16 @@
 """Profile-guided trace JIT for the decoded engine (survey substrate S22).
 
 The decoded engine (:mod:`repro.sim.decode`) still dispatches one
-pre-decoded word at a time: every microinstruction pays the run
-loop's bookkeeping — limit checks, plan lookup, the per-phase commit
-machinery — even when control sits in a tight loop executing the same
-few words thousands of times.  The workloads that dominate the
-survey's reconstructions are exactly such loops (emulator dispatch,
-block moves, counting scans), so the next order of magnitude comes
-from compiling *traces*: record the linear path a hot loop actually
-takes, stitch it into one Python function with operand slots
-pre-resolved and phase commits unrolled, ``compile()`` it once, and
-run whole loop iterations per dispatch.
+generated word function at a time: every microinstruction pays the
+run loop's bookkeeping — limit checks, plan lookup, a function call
+and a sequencing closure — even when control sits in a tight loop
+executing the same few words thousands of times.  The workloads that
+dominate the survey's reconstructions are exactly such loops (emulator
+dispatch, block moves, counting scans), so the next order of magnitude
+comes from compiling *traces*: record the linear path a hot loop
+actually takes, stitch it into one Python function with operand slots
+pre-resolved, phase commits unrolled and sequencing reduced to guards,
+``compile()`` it once, and run whole loop iterations per dispatch.
 
 Mechanics (a NET-style trace JIT):
 
@@ -25,16 +25,16 @@ Mechanics (a NET-style trace JIT):
   loaded word, actual successor) until the path returns to the head;
   traps, ``EXIT`` and over-long paths abort the attempt.
 * **Stitching** — :func:`stitch_trace` generates Python source: one
-  ``while True`` loop whose body is the whole recorded path with
-  register reads lowered to direct dict access, the phase commit
-  discipline unrolled statically, and flags assigned last-writer-
-  wins.  The inlined ALU orders are rendered from the same op table
-  (:mod:`repro.sim.ops`) the decoded plans are built from, with the
-  same inlining predicate (:func:`repro.sim.decode.inline_spec`), and
-  sequencing comes from the same
+  ``while True`` loop whose body is the whole recorded path.  Each
+  phase is written by the decoded engine's own phase emitter
+  (:func:`repro.sim.decode._emit_phase`: register reads as direct
+  dict access, the commit discipline unrolled, flags assigned
+  last-writer-wins), and sequencing comes from the same
   :func:`~repro.sim.decode.terminator_metadata` — so parity with the
   decoded engine, including the cases that stay dynamic there (banked
   windows, generic ``evaluate`` ops), is structural, not incidental.
+  Only ``poll`` is dropped: a trace is never entered with an
+  interrupt pending.
 * **Guards** — every recorded branch direction, multiway target and
   return address is checked; a mismatch side-exits with the exact
   architectural state the decoded engine would have at that point
@@ -74,21 +74,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.asm.loader import ResidentProgram
-from repro.errors import MicroTrap
+from repro.errors import MicroTrap, SimulationError
 from repro.mir.block import Multiway
-from repro.mir.operands import Reg
 from repro.obs.events import PH_INSTANT, TRACK_SIM, Event
 from repro.obs.metrics import CounterBlock
 from repro.sim.decode import (
+    _BINDINGS,
     _COND_TESTS,
     ScalarSteps,
-    _dest_slot,
+    _Emitter,
+    _emit_phase,
     image_tables,
-    inline_spec,
     sequencer,
     terminator_metadata,
 )
-from repro.sim.ops import inline
 from repro.sim.semantics import condition_holds, evaluate
 
 #: XOR mask stitched into every inlined ALU result when nonzero.
@@ -178,49 +177,11 @@ class _Recording:
 # ----------------------------------------------------------------------
 # Code generation
 # ----------------------------------------------------------------------
-class _Emitter:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self._depth = 0
-
-    def emit(self, line: str = "") -> None:
-        self.lines.append("    " * self._depth + line if line else "")
-
-    def indent(self) -> None:
-        self._depth += 1
-
-    def dedent(self) -> None:
-        self._depth -= 1
-
-    def source(self) -> str:
-        return "\n".join(self.lines) + "\n"
-
-
-def _src_expr(files, operand) -> str:
-    """The read expression for one source operand — the codegen twin
-    of :meth:`repro.sim.decode.ScalarSteps.reader`: immediates become
-    literals, plain registers direct dict lookups, banked windows and
-    unknown names stay dynamic through ``read_reg``."""
-    if not isinstance(operand, Reg):
-        return repr(operand.value)
-    name = operand.name
-    if files.is_window(name) or name not in files.registers:
-        return f"state.read_reg({name!r})"
-    return f"regs[{name!r}]"
-
-
-def _planted(expr: str) -> str:
-    if PLANT_RESULT_XOR:
-        return f"(({expr}) ^ {PLANT_RESULT_XOR})"
-    return expr
-
-
 class _Stitcher:
     """Generates the superinstruction source for one recorded path."""
 
     def __init__(self, simulator, resident, elements):
         self.machine = simulator.machine
-        self.files = self.machine.registers
         self.resident = resident
         self.elements = elements
         self.n = len(elements)
@@ -235,11 +196,6 @@ class _Stitcher:
             self.pre[k] = self.pre[k - 1] + self.mi_cycles[k - 1]
         self.head = elements[0][0]
         self.em = _Emitter()
-        self._uid = 0
-
-    def _tmp(self) -> str:
-        self._uid += 1
-        return f"_t{self._uid}"
 
     # ------------------------------------------------------------------
     def stitch(self) -> str:
@@ -250,10 +206,8 @@ class _Stitcher:
                 f"{self.iter_cycles} cycles/iteration")
         em.emit("def run_trace(state, rt, ceiling):")
         em.indent()
-        em.emit("regs = state.registers")
-        em.emit("flags = state.flags")
-        em.emit("memory = state.memory")
-        em.emit("scratch = state.scratchpad")
+        for local, attribute in _BINDINGS:
+            em.emit(f"{local} = state.{attribute}")
         em.emit("iters = 0")
         em.emit("_k = 0")
         em.emit("cycles0 = state.cycles")
@@ -302,103 +256,11 @@ class _Stitcher:
         for group in loaded.instruction.phase_groups(self.machine):
             # poll is a no-op here: a trace is only entered with no
             # interrupt pending, and nothing inside one can raise it.
-            live = [
-                placed for placed in group
-                if placed.op.op not in ("nop", "poll")
-            ]
+            live = [placed for placed in group if placed.op.op != "poll"]
             if live:
-                self._emit_phase(live)
+                _emit_phase(self.em, self.machine, live, PLANT_RESULT_XOR)
         self._emit_terminator(k, loaded.instruction.terminator,
                               address, successor)
-
-    # -- one phase: temps at step time, unrolled commits ---------------
-    def _emit_phase(self, steps) -> None:
-        """Emit one phase the way the plan runs it: every op reads into
-        temporaries at step time, then the commit discipline unrolled —
-        register writes in step order, then memory actions, then flag
-        writes (last writer wins)."""
-        em = self.em
-        files = self.files
-        machine = self.machine
-        reg_commits: list[tuple[str, int | None, str]] = []
-        mem_commits: list[str] = []
-        flag_commits: list[str] = []
-        for placed in steps:
-            op = placed.op
-            name = op.op
-            srcs = [_src_expr(files, s) for s in op.srcs]
-            spec = inline_spec(files, op, machine.word_size)
-            if name in ("read", "ldscr"):
-                t = self._tmp()
-                store = "memory" if name == "read" else "scratch"
-                em.emit(f"{t} = {store}.read({srcs[0]})")
-                reg_commits.append((*_dest_slot(files, op.dest.name), t))
-            elif name == "write":
-                ta, td = self._tmp(), self._tmp()
-                em.emit(f"{ta} = {srcs[0]}")
-                em.emit(f"{td} = {srcs[1]}")
-                # Touch now so pagefaults surface at the op, not at
-                # commit — same write-allocate check as the plan step.
-                em.emit(f"if not memory.is_mapped({ta}):")
-                em.indent()
-                em.emit(f"memory.write({ta}, {td})")
-                em.dedent()
-                mem_commits.append(f"memory.write({ta}, {td})")
-            elif name == "stscr":
-                tv, ta = self._tmp(), self._tmp()
-                em.emit(f"{tv} = {srcs[0]}")
-                em.emit(f"{ta} = {srcs[1]}")
-                mem_commits.append(f"scratch.write({ta}, {tv})")
-            elif name == "setblk":
-                if files.bank_pointer is None:
-                    raise TraceUnsupported("setblk on unbanked machine")
-                t = self._tmp()
-                em.emit(f"{t} = {srcs[0]}")
-                reg_commits.append(
-                    (*_dest_slot(files, files.bank_pointer), t)
-                )
-            elif spec is not None:
-                total, value = self._tmp(), self._tmp()
-                statements, flags = inline(
-                    name, srcs, str(machine.mask()),
-                    str(machine.word_size - 1), total, value,
-                )
-                for line in statements:
-                    em.emit(line)
-                if spec.writes:
-                    if spec.flags:
-                        value = _planted(value)
-                    reg_commits.append(
-                        (*_dest_slot(files, op.dest.name), value)
-                    )
-                flag_commits.extend(
-                    f"flags[{flag!r}] = {expr}" for flag, expr in flags
-                )
-            else:
-                # Generic evaluate fallback — the interpreter's exact
-                # argument set, pre-bound at stitch time.  Its value is
-                # never None: evaluate returns none only for cmp, which
-                # the table inlines.
-                t = self._tmp()
-                dest_old = (
-                    _src_expr(files, op.dest) if op.dest is not None
-                    else "0"
-                )
-                em.emit(f"{t} = evaluate({name!r}, [{', '.join(srcs)}], "
-                        f"{machine.word_size}, dest_old={dest_old}, "
-                        f"carry_in=flags.get('C', 0))")
-                if op.dest is not None:
-                    reg_commits.append(
-                        (*_dest_slot(files, op.dest.name), f"{t}.value")
-                    )
-                flag_commits.append(f"flags.update({t}.flags)")
-        for target, mask, value in reg_commits:
-            if mask is None:
-                em.emit(f"state.write_reg({target!r}, {value})")
-            else:
-                em.emit(f"regs[{target!r}] = {value} & {mask}")
-        for line in mem_commits + flag_commits:
-            em.emit(line)
 
     # -- sequencing guards ---------------------------------------------
     def _emit_exit(self, k: int, reason: str, upc: int | str | None
@@ -490,6 +352,7 @@ def build_namespace(simulator, resident: ResidentProgram,
         "evaluate": evaluate,
         "condition_holds": condition_holds,
         "MicroTrap": MicroTrap,
+        "SimulationError": SimulationError,
     }
     for k, (address, loaded, _) in enumerate(elements):
         addrs.append(address)

@@ -34,7 +34,7 @@ from repro.faults.report import campaign_json
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
 from repro.sim import Simulator
-from repro.sim.decode import build_plan, image_tables
+from repro.sim.decode import image_tables, lower_word
 from tests.pipeline.golden_programs import GOLDEN_SOURCES
 
 from .capture_metrics_pins import COUNTDOWN, ROUNDTRIP, campaign_inputs
@@ -282,13 +282,13 @@ def test_flip_beside_restarting_memory_fault():
 # ----------------------------------------------------------------------
 # Plans shared through the program image
 # ----------------------------------------------------------------------
-def build_plan_keys(run):
+def lower_word_keys(run):
     """``run()`` and the ``(base, address, word)`` of every
-    ``build_plan`` call it made."""
+    ``lower_word`` call it made."""
     keys = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is build_plan.__code__:
+        if event == "call" and frame.f_code is lower_word.__code__:
             local = frame.f_locals
             keys.append((local["resident"].base, local["address"],
                          local["loaded"].word))
@@ -303,7 +303,7 @@ def build_plan_keys(run):
 
 @pytest.mark.parametrize("program", ["m1", "yalll"])
 def test_serial_campaign_lowers_each_word_once(program):
-    report, keys = build_plan_keys(
+    report, keys = lower_word_keys(
         lambda: seeded_campaign(program, SEEDS[0], False)
     )
     assert '"outcomes"' in report

@@ -66,6 +66,18 @@ class TestStuckAtRegister:
         StuckAtRegister("R1", 7, from_cycle=10_000).attach(simulator)
         assert simulator.run("addone").exit_value == 101
 
+    def test_wide_value_is_stored_masked_like_poke_reg(self, hm1):
+        wide = (0xABCD << hm1.word_size) | 0x1234
+        simulator, _ = load(add_one_program(hm1), hm1)
+        injector = StuckAtRegister("R1", wide).attach(simulator)
+        injector.on_instruction(simulator, None)
+        injector.on_instruction(simulator, None)
+        poked, _ = load(add_one_program(hm1), hm1)
+        poked.state.poke_reg("R1", wide)
+        assert simulator.state.registers["R1"] == poked.state.registers["R1"]
+        assert simulator.state.registers["R1"] == 0x1234
+        assert [f["name"] for f in injector.fired] == ["fault.stuck"]
+
 
 class TestTransientMemoryFault:
     def test_nth_read_faults_once_then_recovers(self, hm1):

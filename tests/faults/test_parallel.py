@@ -12,15 +12,23 @@ Two guarantees under test:
    classifies identically to the interpretive engine.
 """
 
+import pickle
+
 import pytest
 
 from repro.asm import ControlStore
-from repro.faults.campaign import run_campaign, run_campaign_loaded
+from repro.cache import machine_fingerprint
+from repro.faults.campaign import (
+    _ScenarioContext,
+    run_campaign,
+    run_campaign_loaded,
+)
 from repro.faults.injectors import ControlStoreBitFlip
 from repro.faults.plan import FaultPlan
 from repro.faults.report import campaign_json, render_campaign
 from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
+from repro.registry import build_machine, get_machine_spec
 from repro.sim import Simulator
 
 LOOP_SRC = """
@@ -83,6 +91,42 @@ class TestParallelFanout:
             LOOP_SRC, "yalll", machine, n=12, seed=5, jobs=3
         )
         assert [o.index for o in result.outcomes] == list(range(12))
+
+
+class TestContextPickle:
+    """A shard's context ships the registry's machine by name."""
+
+    @staticmethod
+    def context(machine):
+        loaded = compile_yalll(LOOP_SRC, machine, name="loop").loaded
+        return _ScenarioContext(
+            machine, loaded, None, None, None, {}, 1000, "decoded",
+            False, None,
+        )
+
+    def test_registry_machine_unpickles_to_the_same_object(self):
+        machine = build_machine("HM1")
+        clone = pickle.loads(pickle.dumps(self.context(machine)))
+        assert clone.machine is machine
+
+    def test_other_machines_ship_whole(self):
+        machine = get_machine_spec("HM1").build()
+        blob = pickle.dumps(self.context(machine))
+        clone = pickle.loads(blob)
+        assert clone.machine is not machine
+        assert clone.machine is not build_machine("HM1")
+        assert machine_fingerprint(clone.machine) == \
+            machine_fingerprint(machine)
+        by_name = pickle.dumps(self.context(build_machine("HM1")))
+        assert len(by_name) < len(blob)
+
+    def test_sharded_campaign_on_an_unregistered_machine(self):
+        machine = get_machine_spec("HM1").build()
+        serial = run_campaign(LOOP_SRC, "yalll", machine, n=6, seed=3,
+                              jobs=1)
+        sharded = run_campaign(LOOP_SRC, "yalll", machine, n=6, seed=3,
+                               jobs=2)
+        assert campaign_json([sharded]) == campaign_json([serial])
 
 
 class TestMidRunBitflip:

@@ -20,6 +20,7 @@ from repro.serve.jobs import (
     execute_job,
     execute_lanes,
 )
+from tests.faults.capture_metrics_pins import ROUNDTRIP
 from tests.pipeline.golden_programs import YALLL_MUL
 from tests.serve.conftest import WEDGE_SRC
 
@@ -119,3 +120,13 @@ def test_a_lane_answers_as_it_does_alone(name):
     assert [ticket for ticket, _ in gathered] == [0, 1, 2]
     for lane, (_, response) in zip(group, gathered):
         assert answer(response) == answer(execute_job(lane))
+
+
+def test_campaign_reads_mem_addresses_like_run():
+    """``/run`` and ``/campaign`` share one ``mem`` address parser."""
+    job = {"op": "campaign", "source": ROUNDTRIP, "lang": "yalll",
+           "n": 6, "seed": 7}
+    hexed = answer(execute_job({**job, "mem": {"0x64": 41}}))
+    assert hexed["status"] == "ok", hexed
+    assert hexed == answer(execute_job({**job, "mem": {"100": 41}}))
+    assert hexed["result"]["golden"]["exit_value"] == 42

@@ -28,7 +28,12 @@ from repro.lang.yalll import compile_yalll
 from repro.machine.machines import get_machine
 from repro.obs.timeline import TraceRecorder
 from repro.sim import Simulator
-from repro.sim.decode import PlanCache, build_plan, decode_word
+from repro.sim.decode import (
+    PlanCache,
+    decode_word,
+    image_tables,
+    lower_word,
+)
 from repro.sim.ops import planted
 
 # The same algorithm (multiply 5 x 7 by repeated addition) in every
@@ -539,13 +544,13 @@ def fresh_run(machine, loaded, engine, **kwargs):
 
 
 def lowering_calls(run):
-    """``run()`` and how often it called ``build_plan`` and the
+    """``run()`` and how often it called ``lower_word`` and the
     builtin ``compile()``."""
-    calls = {"build_plan": 0, "compile": 0}
+    calls = {"lower_word": 0, "compile": 0}
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is build_plan.__code__:
-            calls["build_plan"] += 1
+        if event == "call" and frame.f_code is lower_word.__code__:
+            calls["lower_word"] += 1
         elif event == "c_call" and arg is builtins.compile:
             calls["compile"] += 1
 
@@ -608,9 +613,9 @@ class TestImageTables:
         second, warm = lowering_calls(
             lambda: fresh_run(machine, image, engine)
         )
-        assert cold["build_plan"] > 0
+        assert cold["lower_word"] > 0
         assert cold["compile"] > 0 or engine == "decoded"
-        assert warm == {"build_plan": 0, "compile": 0}
+        assert warm == {"lower_word": 0, "compile": 0}
         # Each simulator still counts the shared plans and traces as
         # its own decodes and compiles.
         assert second.plan_cache == first.plan_cache
@@ -647,3 +652,130 @@ class TestImageTables:
         result = fresh_run(machine, image, "traced")
         assert result.exit_value == pristine
         assert result.trace_cache["misses"] >= 1
+
+
+# ----------------------------------------------------------------------
+# Generated word functions
+# ----------------------------------------------------------------------
+#: A counting loop whose ``poll`` word the tests below widen by hand.
+POLL_LOOP = """
+    put counter,20
+    put t,0
+    put k,1
+    put base,0x40
+loop:
+    poll
+    sub counter,counter,1
+    jump loop if nonzero
+    exit t
+"""
+
+
+def poll_word_image(machine):
+    """``POLL_LOOP`` with its ``poll`` word widened to one phase that
+    runs ``poll``, then ``add t,t,k``, ``read x,[base]``,
+    ``write [base],t`` and the word's other ops — every op after the
+    poll reads state the interrupt handler may have touched.  Returns
+    the image and the physical names of ``t``, ``k``, ``x`` and
+    ``base``."""
+    from dataclasses import replace
+
+    from repro.compose.base import MicroInstruction, PlacedOp
+    from repro.mir.operands import Reg
+    from repro.mir.ops import MicroOp
+
+    result = compile_yalll(POLL_LOOP, machine, name="irq")
+    mapping = result.allocation.mapping
+    t, k, base = mapping["t"], mapping["k"], mapping["base"]
+    x = next(
+        register.name for register in machine.registers
+        if register.name not in mapping.values() and not register.readonly
+    )
+    ops = [
+        MicroOp("poll", None, ()),
+        MicroOp("add", Reg(t), (Reg(t), Reg(k))),
+        MicroOp("read", Reg(x), (Reg(base),)),
+        MicroOp("write", None, (Reg(base), Reg(t))),
+    ]
+    words = list(result.loaded.words)
+    index, word = next(
+        (i, word) for i, word in enumerate(words)
+        if "poll" in [p.op.op for p in word.instruction.placed]
+    )
+    placed = [PlacedOp(op, machine.op(op.op)) for op in ops] + [
+        p for p in word.instruction.placed if p.op.op != "poll"
+    ]
+    assert len({p.phase(machine) for p in placed}) == 1
+    words[index] = replace(word, instruction=MicroInstruction(
+        placed=placed, terminator=word.instruction.terminator,
+    ))
+    return replace(result.loaded, words=words), (t, k, x, base)
+
+
+class TestWordFunctions:
+    """Each word runs as one generated function (``lower_word``)."""
+
+    @pytest.mark.parametrize("effect", [
+        "write-register", "replace-registers", "replace-memory",
+    ])
+    def test_poll_handler_effects_reach_the_rest_of_the_phase(self, effect):
+        from repro.sim.memory import MainMemory
+
+        machine = get_machine("VAXm")
+        image, (t, k, x, base) = poll_word_image(machine)
+
+        def handler(state):
+            value = state.cycles % 7 + 2
+            if effect == "write-register":
+                state.registers[k] = value
+            elif effect == "replace-registers":
+                state.restore_registers({**state.registers, k: value})
+            else:
+                memory = MainMemory()
+                memory.load_words(0x40, [value])
+                state.memory = memory
+
+        res, _ = assert_parity(
+            machine, image, memory={0x40: 1},
+            simulator_kwargs={
+                "interrupt_handler": handler, "interrupt_every": 5,
+            },
+        )
+        assert res.interrupts_serviced > 1
+
+    def test_planted_op_table_leaves_later_runs_exact(self):
+        machine = get_machine("HM1")
+        image = compile_yalll(XOR_LOOP, machine, name="xor").loaded
+        pristine = fresh_run(machine, image, "interpretive").exit_value
+        with planted("xor", "(a & M) ^ (b & M) ^ 1"):
+            assert fresh_run(machine, image, "decoded").exit_value \
+                != pristine
+        # A fresh image with the same words: only the process-wide
+        # cache of word functions could still hold the planted text.
+        again = compile_yalll(XOR_LOOP, machine, name="xor").loaded
+        res, _ = assert_parity(machine, again)
+        assert res.exit_value == pristine
+
+    def test_stitcher_plant_never_reaches_a_word(self, monkeypatch):
+        machine = get_machine("HM1")
+        image = compile_yalll(XOR_LOOP, machine, name="xor").loaded
+        monkeypatch.setattr(trace_module, "PLANT_RESULT_XOR", 1)
+        res, _ = assert_parity(machine, image)
+        assert res.exit_value == 1
+
+    def test_identical_words_share_one_function(self):
+        machine = get_machine("HM1")
+        images = [
+            compile_yalll(source, machine, name="pair").loaded
+            for source in (EXIT_A, EXIT_B)
+        ]
+        plans = []
+        for image in images:
+            fresh_run(machine, image, "decoded")
+            table, _ = image_tables(image, machine)
+            plans.append(table)
+        assert plans[0].keys() == plans[1].keys()
+        for key, plan in plans[0].items():
+            other = plans[1][key]
+            assert plan is not other
+            assert plan.execute is other.execute
